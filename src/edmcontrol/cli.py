@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .analysis import (
     interaction_coefficients,
     partition_variance,
 )
-from .config import CONFIG_ENV_VAR, resolve
+from .config import CONFIG_ENV_VAR, coerce, resolve
 from .edm import pearson_rho, smap_predict, smap_predictions
 from .evaluation import (
     THETA_GRID,
@@ -63,45 +64,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 class _Outputs:
-    """Tracks files written by a command so failures leave no partial output."""
+    """Writes a command's files atomically so failures leave no partial output."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.files: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def path(self, name: str) -> str:
+    def write(self, name: str, writer) -> None:
+        """Create ``name`` by ``writer(tmp_path)``, then rename it into place."""
         full = os.path.join(self.out_dir, name)
         os.makedirs(os.path.dirname(full), exist_ok=True)
         self.files.append(name)
-        return full
+        writer(full + ".tmp")
+        os.replace(full + ".tmp", full)
+
+    def write_json(self, name: str, obj: dict) -> None:
+        def writer(path):
+            with open(path, "w") as fh:
+                fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+        self.write(name, writer)
+
+    def write_rows(self, name: str, header: list, rows) -> None:
+        def writer(path):
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
+
+        self.write(name, writer)
 
     def discard(self) -> None:
         for name in self.files:
-            try:
-                os.remove(os.path.join(self.out_dir, name))
-            except OSError:
-                pass
-
-
-def _write_manifest(out: _Outputs, command: str, args: dict, started: float) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "args": args,
-        "outputs": sorted(out.files),
-        "duration_seconds": time.perf_counter() - started,
-    }
-    path = os.path.join(out.out_dir, "manifest.json")
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            for path in (name, name + ".tmp"):
+                try:
+                    os.remove(os.path.join(self.out_dir, path))
+                except OSError:
+                    pass
 
 
 def _run_command(command: str, args: dict, out_dir: str) -> None:
@@ -110,10 +111,25 @@ def _run_command(command: str, args: dict, out_dir: str) -> None:
     out = _Outputs(out_dir)
     try:
         _COMMANDS[command](args, out)
+        manifest = {
+            "command": command,
+            "version": __version__,
+            "args": args,
+            "outputs": sorted(out.files),
+            "duration_seconds": time.perf_counter() - started,
+        }
+        out.write_json("manifest.json", manifest)
     except BaseException:
         out.discard()
         raise
-    _write_manifest(out, command, args, started)
+
+
+def _read_frame(path):
+    """Read a frame CSV; malformed content is a data error, not a usage error."""
+    try:
+        return read_frame_csv(path)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------- simulate
@@ -126,9 +142,7 @@ def _simulate_one(args: dict, out: _Outputs) -> None:
         control=args["control"],
         legitimacy_mode=args["legitimacy"],
     )
-    path = out.path("frame.csv")
-    write_frame_csv(frame, path + ".tmp")
-    os.replace(path + ".tmp", path)
+    out.write("frame.csv", lambda path: write_frame_csv(frame, path))
 
 
 def _cmd_simulate(ns) -> int:
@@ -163,8 +177,7 @@ def _cmd_simulate(ns) -> int:
 
 def _load_series(args: dict) -> np.ndarray:
     if args.get("data") is not None:
-        frame = read_frame_csv(args["data"])
-        return frame.column(args["column"])
+        return _read_frame(args["data"]).column(args["column"])
     cfg = args["config"]
     frame = standard_run(cfg, seed=args["seed"], steps=args["steps"], control=False)
     return frame.column(args["column"])
@@ -182,9 +195,7 @@ def _scan(args: dict, out: _Outputs) -> None:
     else:
         result = theta_scan(series, args["e"], args["tp"], split=args["split"], grid=THETA_GRID)
         param = "theta"
-    path = out.path("scan.csv")
-    result.write_csv(path + ".tmp", param_name=param)
-    os.replace(path + ".tmp", path)
+    out.write("scan.csv", lambda path: result.write_csv(path, param_name=param))
     if any(r.degenerate for r in result.reports):
         print("warning: degenerate skill (zero variance) at one or more scan points", file=sys.stderr)
 
@@ -226,7 +237,7 @@ def _parse_coords(text: str) -> tuple[tuple[str, int], ...]:
 
 
 def _forecast(args: dict, out: _Outputs) -> None:
-    frame = read_frame_csv(args["data"])
+    frame = _read_frame(args["data"])
     spec = EmbeddingSpec(
         coordinates=tuple((c, int(l)) for c, l in args["coords"]),
         target=args["target"],
@@ -242,32 +253,24 @@ def _forecast(args: dict, out: _Outputs) -> None:
     predictions = smap_predictions(smap_predict(lib, pred, theta))
     report = pearson_rho(predictions, pred.targets)
 
-    path = out.path("predictions.csv")
-    import csv
-
-    with open(path + ".tmp", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "predicted", "observed"])
-        for t, p, o in zip(pred.times, predictions, pred.targets):
-            w.writerow([int(t), repr(float(p)), repr(float(o))])
-    os.replace(path + ".tmp", path)
-
-    skill_path = out.path("skill.json")
-    _atomic_write_text(
-        skill_path,
-        json.dumps(
-            {
-                "rho": report.rho,
-                "mae": report.mae,
-                "rmse": report.rmse,
-                "n": report.n,
-                "theta": theta,
-                "degenerate": report.degenerate,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+    out.write_rows(
+        "predictions.csv",
+        ["time", "predicted", "observed"],
+        (
+            [int(t), repr(float(p)), repr(float(o))]
+            for t, p, o in zip(pred.times, predictions, pred.targets)
+        ),
+    )
+    out.write_json(
+        "skill.json",
+        {
+            "rho": report.rho,
+            "mae": report.mae,
+            "rmse": report.rmse,
+            "n": report.n,
+            "theta": theta,
+            "degenerate": report.degenerate,
+        },
     )
     print(f"rho={report.rho:.6f} mae={report.mae:.4f} rmse={report.rmse:.4f} n={report.n}")
 
@@ -289,15 +292,13 @@ def _cmd_forecast(ns) -> int:
 # ----------------------------------------------------------------- analyze
 
 def _analyze(args: dict, out: _Outputs) -> None:
-    frame = read_frame_csv(args["data"])
+    frame = _read_frame(args["data"])
     cfg = args["config"]
     jac = None
     if args["jacobian"] or args["partition"]:
         jac = interaction_coefficients(frame, theta=cfg["jacobian_theta"])
     if args["jacobian"]:
-        path = out.path("jacobian.csv")
-        jac.write_csv(path + ".tmp")
-        os.replace(path + ".tmp", path)
+        out.write("jacobian.csv", jac.write_csv)
     if args["partition"]:
         leg = frame.column("legitimacy")
         idx = np.array([frame.index_of(int(t)) for t in jac.times])
@@ -308,18 +309,14 @@ def _analyze(args: dict, out: _Outputs) -> None:
             window=cfg["jacobian_window"],
             stride=cfg["jacobian_stride"],
         )
-        path = out.path("variance.csv")
-        part.write_csv(path + ".tmp")
-        os.replace(path + ".tmp", path)
+        out.write("variance.csv", part.write_csv)
     if args["trapped"]:
         trapped = detect_trapped_state(
             frame,
             active_floor=cfg["trapped_active_floor"],
             min_duration=cfg["trapped_min_duration"],
         )
-        path = out.path("trapped.csv")
-        trapped.write_csv(path + ".tmp")
-        os.replace(path + ".tmp", path)
+        out.write("trapped.csv", trapped.write_csv)
 
 
 def _cmd_analyze(ns) -> int:
@@ -351,19 +348,15 @@ def _export_comparison(args: dict, out: _Outputs) -> None:
     )
     emb = build_generalized_embedding(frame, CONTROL_EMBEDDING)
     train, test = split_library_prediction(emb, tuple(args["train"]), tuple(args["test"]))
-    import csv
-
     for name, block in (("train.csv", train), ("test.csv", test)):
-        path = out.path(name)
-        with open(path + ".tmp", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time", *block.coord_names, CONTROL_EMBEDDING.target])
-            for i, t in enumerate(block.times):
-                row = [int(t)]
-                row.extend(repr(float(v)) for v in block.points[i])
-                row.append(repr(float(block.targets[i])))
-                w.writerow(row)
-        os.replace(path + ".tmp", path)
+        out.write_rows(
+            name,
+            ["time", *block.coord_names, CONTROL_EMBEDDING.target],
+            (
+                [int(t), *(repr(float(v)) for v in block.points[i]), repr(float(block.targets[i]))]
+                for i, t in enumerate(block.times)
+            ),
+        )
 
 
 def _cmd_export_comparison(ns) -> int:
@@ -430,11 +423,7 @@ def _config_overrides(ns) -> dict:
         if "=" not in item:
             raise UsageError(f"--set {item!r} must be key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        from .config import DEFAULTS, _coerce
-
-        if key not in DEFAULTS:
-            raise UsageError(f"unknown config key {key!r}")
-        overrides[key] = _coerce(key, value)
+        overrides[key] = coerce(key, value)
     return overrides
 
 
@@ -523,8 +512,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        # InsufficientDataError and bad file contents are data problems;
-        # other validation failures are configuration mistakes.
+        # InsufficientDataError is a data problem; other validation
+        # failures are configuration mistakes.
         if isinstance(exc, InsufficientDataError):
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -4,18 +4,30 @@ Config files hold one ``key = value`` pair per line (``#`` starts a comment).
 Every key has a default; CLI flags override file values, which override the
 defaults.  The ``EDMCONTROL_CONFIG`` environment variable names a default
 config file.
+
+Each key's default, and the type its values parse to, is read from the code
+that uses it: a dataclass field or a keyword parameter (see ``_OWNERS``).
 """
 
 from __future__ import annotations
 
+import inspect
 import os
+import typing
 
-from .abm import K_ARREST_90, WorldParams
-from .control import ControllerParams, LoopConfig
+from .abm import WorldParams
+from .analysis import (
+    detect_trapped_state,
+    interaction_coefficients,
+    outburst_onsets,
+    partition_variance,
+)
+from .control import ControllerParams, LoopConfig, make_legitimacy_schedule
 
 __all__ = [
     "DEFAULTS",
     "CONFIG_ENV_VAR",
+    "coerce",
     "load_config",
     "resolve",
     "world_params",
@@ -25,61 +37,63 @@ __all__ = [
 
 CONFIG_ENV_VAR = "EDMCONTROL_CONFIG"
 
-# Every tunable with its default.  Values are plain Python scalars; "none"
-# in a file maps to None (used by jail_capacity for "unlimited").
-DEFAULTS: dict[str, object] = {
-    # world
-    "grid_width": 40,
-    "grid_height": 40,
-    "n_citizens": 1120,
-    "n_cops": 80,
-    "vision": 7.0,
-    "max_jail_term": 30,
-    "k_arrest": K_ARREST_90,
-    "jail_capacity": 470,
-    "legitimacy": 0.84,
-    "propaganda": 0.1,
-    "cop_ratio_mode": "neighborhood",
-    # legitimacy schedule
-    "schedule_changes": 20,
-    "legitimacy_low": 0.6,
-    "legitimacy_high": 0.85,
-    # controller
-    "p_min": 0.06,
-    "p_max": 0.6,
-    "slope": 0.05,
-    "active_midpoint": 50.0,
-    "warmup_ticks": 3000,
-    "theta": 2.0,
-    # analysis
-    "trapped_active_floor": 100.0,
-    "trapped_min_duration": 200,
-    "outburst_floor": 20.0,
-    "jacobian_theta": 0.1,
-    "jacobian_window": 100,
-    "jacobian_stride": 10,
-    "legitimacy_threshold": 0.7,
+
+def _fields(cls, skip=()) -> dict[str, tuple[typing.Callable, str]]:
+    return {name: (cls, name) for name in inspect.signature(cls).parameters if name not in skip}
+
+
+# Config key -> (owner, name of the owner's field or keyword parameter).
+# Dataclass fields keep their own names as keys.
+_OWNERS: dict[str, tuple[typing.Callable, str]] = {
+    **_fields(WorldParams),
+    "schedule_changes": (make_legitimacy_schedule, "n_changes"),
+    "legitimacy_low": (make_legitimacy_schedule, "low"),
+    "legitimacy_high": (make_legitimacy_schedule, "high"),
+    **_fields(ControllerParams),
+    **_fields(LoopConfig, skip=("spec",)),
+    "trapped_active_floor": (detect_trapped_state, "active_floor"),
+    "trapped_min_duration": (detect_trapped_state, "min_duration"),
+    "outburst_floor": (outburst_onsets, "floor"),
+    "jacobian_theta": (interaction_coefficients, "theta"),
+    "jacobian_window": (partition_variance, "window"),
+    "jacobian_stride": (partition_variance, "stride"),
+    "legitimacy_threshold": (partition_variance, "threshold"),
 }
 
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
+def _parameter(key: str) -> inspect.Parameter:
+    owner, name = _OWNERS[key]
+    return inspect.signature(owner, eval_str=True).parameters[name]
+
+
+# Every tunable with its default, as plain Python scalars.
+DEFAULTS: dict[str, object] = {key: _parameter(key).default for key in _OWNERS}
+
+
+def coerce(key: str, raw: str):
+    """Parse a config-file or ``--set`` value for ``key`` to its owner's type.
+
+    ``none`` and ``unlimited`` give None, which only a key whose annotation
+    admits None accepts (``jail_capacity``: no cap).
+    """
+    if key not in _OWNERS:
+        raise ValueError(f"unknown config key {key!r}")
+    annotation = _parameter(key).annotation
+    types = typing.get_args(annotation) or (annotation,)
     token = raw.strip()
     if token.lower() in ("none", "unlimited"):
+        if type(None) not in types:
+            raise ValueError(f"config key {key!r} does not accept {token!r}")
         return None
-    if isinstance(default, bool):
-        return token.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(token)
-    if isinstance(default, float):
-        return float(token)
-    if default is None:  # jail_capacity: unlimited by default, else a count
-        return int(token)
-    return token
+    kind = next(t for t in types if t is not type(None))
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {kind.__name__}, got {token!r}") from None
 
 
 def load_config(path) -> dict[str, object]:
-    """Parse a key-value config file, validating keys against the defaults."""
+    """Parse a key-value config file, validating keys and values against the owners."""
     values: dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -89,9 +103,10 @@ def load_config(path) -> dict[str, object]:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = coerce(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -99,7 +114,7 @@ def resolve(path=None, overrides: dict[str, object] | None = None) -> dict[str, 
     """Merge defaults, an optional config file, and explicit overrides.
 
     With no explicit path, the file named by ``EDMCONTROL_CONFIG`` (if set)
-    is loaded.
+    is loaded.  Every override takes effect, None included.
     """
     merged = dict(DEFAULTS)
     if path is None:
@@ -109,35 +124,21 @@ def resolve(path=None, overrides: dict[str, object] | None = None) -> dict[str, 
     for key, value in (overrides or {}).items():
         if key not in DEFAULTS:
             raise KeyError(f"unknown config key {key!r}")
-        if value is not None:
-            merged[key] = value
+        merged[key] = value
     return merged
 
 
+def _build(owner, cfg: dict[str, object]):
+    return owner(**{name: cfg[key] for key, (o, name) in _OWNERS.items() if o is owner})
+
+
 def world_params(cfg: dict[str, object]) -> WorldParams:
-    return WorldParams(
-        grid_width=cfg["grid_width"],
-        grid_height=cfg["grid_height"],
-        n_citizens=cfg["n_citizens"],
-        n_cops=cfg["n_cops"],
-        vision=cfg["vision"],
-        max_jail_term=cfg["max_jail_term"],
-        k_arrest=cfg["k_arrest"],
-        jail_capacity=cfg["jail_capacity"],
-        legitimacy=cfg["legitimacy"],
-        propaganda=cfg["propaganda"],
-        cop_ratio_mode=cfg["cop_ratio_mode"],
-    )
+    return _build(WorldParams, cfg)
 
 
 def controller_params(cfg: dict[str, object]) -> ControllerParams:
-    return ControllerParams(
-        p_min=cfg["p_min"],
-        p_max=cfg["p_max"],
-        slope=cfg["slope"],
-        active_midpoint=cfg["active_midpoint"],
-    )
+    return _build(ControllerParams, cfg)
 
 
 def loop_config(cfg: dict[str, object]) -> LoopConfig:
-    return LoopConfig(warmup_ticks=cfg["warmup_ticks"], theta=cfg["theta"])
+    return _build(LoopConfig, cfg)

@@ -106,18 +106,10 @@ class LegitimacySchedule:
         object.__setattr__(self, "change_times", ct)
         object.__setattr__(self, "values", vals)
 
-    def value_at(self, tick: int) -> float:
-        seg = int(np.searchsorted(self.change_times, tick, side="right"))
-        return float(self.values[seg])
-
     def materialize(self, steps: int) -> np.ndarray:
         ticks = np.arange(1, steps + 1)
         segs = np.searchsorted(self.change_times, ticks, side="right")
         return self.values[segs]
-
-    def shifted(self, offset: int) -> "LegitimacySchedule":
-        """Same schedule delayed by ``offset`` ticks."""
-        return LegitimacySchedule(self.change_times + int(offset), self.values)
 
 
 def make_legitimacy_schedule(
@@ -178,7 +170,6 @@ def closed_loop_controller(
     history: Frame,
     config: LoopConfig = LoopConfig(),
     params: ControllerParams = ControllerParams(),
-    theta: float | None = None,
 ) -> ControlDecision:
     """Compute the next-tick propaganda level from the observation history.
 
@@ -194,7 +185,7 @@ def closed_loop_controller(
         return ControlDecision(propaganda=float(prop[0]))
     library = build_generalized_embedding(history, config.spec)
     query = build_state_vector(history, config.spec)
-    out = smap_predict(library, query[None, :], config.theta if theta is None else theta)[0]
+    out = smap_predict(library, query[None, :], config.theta)[0]
     if not math.isfinite(out.prediction):
         return ControlDecision(
             propaganda=float(prop[-1]), engaged=True, held=True
@@ -207,32 +198,15 @@ def closed_loop_controller(
 
 
 class EdmController:
-    """Callable wrapper binding a loop configuration to controller parameters.
-
-    With ``auto_tune=True`` the kernel width is chosen once, when the warmup
-    completes, by scanning the theta grid on a validation slice of the warmup
-    library; otherwise the configured theta is used throughout.
-    """
+    """Callable wrapper binding a loop configuration to controller parameters."""
 
     def __init__(
         self,
         config: LoopConfig = LoopConfig(),
         params: ControllerParams = ControllerParams(),
-        auto_tune: bool = False,
     ):
         self.config = config
         self.params = params
-        self.auto_tune = auto_tune
-        self.tuned_theta: float | None = None
 
     def __call__(self, history: Frame) -> ControlDecision:
-        theta = None
-        if self.auto_tune and len(history) >= self.config.warmup_ticks:
-            if self.tuned_theta is None:
-                from .evaluation import tune_theta
-
-                self.tuned_theta = tune_theta(
-                    build_generalized_embedding(history, self.config.spec)
-                )
-            theta = self.tuned_theta
-        return closed_loop_controller(history, self.config, self.params, theta=theta)
+        return closed_loop_controller(history, self.config, self.params)

@@ -82,9 +82,23 @@ def _chronological_split(embedding: Embedding, split: float) -> tuple[Embedding,
     return lib, pred
 
 
-def _align_from(embedding: Embedding, first_origin: int, last_origin: int) -> Embedding:
-    keep = (embedding.times >= first_origin) & (embedding.times <= last_origin)
-    return embedding.take(np.flatnonzero(keep))
+def _aligned_simplex_scan(series, points, split: float, tau: int) -> tuple[SkillReport, ...]:
+    """Simplex skill at each ``(E, Tp)`` point, all on the same origin rows.
+
+    Only origins valid at the largest E and the largest Tp scanned are kept,
+    under one chronological library/prediction split, so the skills are
+    comparable across points.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    first = (max((e for e, _ in points), default=1) - 1) * tau
+    last = x.size - 1 - max((tp for _, tp in points), default=0)
+    reports = []
+    for e, tp in points:
+        emb = build_delay_embedding(x, e, tau, tp)
+        emb = emb.take(np.flatnonzero((emb.times >= first) & (emb.times <= last)))
+        lib, pred = _chronological_split(emb, split)
+        reports.append(pearson_rho(simplex_predict(lib, pred), pred.targets))
+    return tuple(reports)
 
 
 def embed_dimension_scan(
@@ -100,18 +114,9 @@ def embed_dimension_scan(
     chronological library/prediction split, so the resulting skill curve is
     comparable across dimensions.
     """
-    x = np.asarray(series, dtype=np.float64)
-    first = (e_max - 1) * tau
-    last = x.size - 1 - tp
-    reports = []
-    for e in range(1, e_max + 1):
-        emb = _align_from(build_delay_embedding(x, e, tau, tp), first, last)
-        lib, pred = _chronological_split(emb, split)
-        preds = simplex_predict(lib, pred)
-        reports.append(pearson_rho(preds, pred.targets))
     return ScanResult(
         axis=np.arange(1, e_max + 1),
-        reports=tuple(reports),
+        reports=_aligned_simplex_scan(series, [(e, tp) for e in range(1, e_max + 1)], split, tau),
         fixed={"tp": tp, "tau": tau, "split": split},
     )
 
@@ -124,18 +129,9 @@ def tp_scan(
     tau: int = 1,
 ) -> ScanResult:
     """Simplex skill as a function of forecast interval Tp = 1..tp_max at fixed E."""
-    x = np.asarray(series, dtype=np.float64)
-    first = (e - 1) * tau
-    last = x.size - 1 - tp_max
-    reports = []
-    for tp in range(1, tp_max + 1):
-        emb = _align_from(build_delay_embedding(x, e, tau, tp), first, last)
-        lib, pred = _chronological_split(emb, split)
-        preds = simplex_predict(lib, pred)
-        reports.append(pearson_rho(preds, pred.targets))
     return ScanResult(
         axis=np.arange(1, tp_max + 1),
-        reports=tuple(reports),
+        reports=_aligned_simplex_scan(series, [(e, tp) for tp in range(1, tp_max + 1)], split, tau),
         fixed={"e": e, "tau": tau, "split": split},
     )
 

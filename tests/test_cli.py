@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
+from edmcontrol import cli
 from edmcontrol.cli import main
 from edmcontrol.config import CONFIG_ENV_VAR, DEFAULTS, load_config, resolve
 from edmcontrol.timeseries import read_frame_csv
@@ -34,6 +36,24 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def frame_digest(out):
+    return hashlib.sha256((out / "frame.csv").read_bytes()).hexdigest()
+
+
+# SHA-256 of frame.csv from `simulate --config SMALL_CFG --steps 300`, uncontrolled;
+# they pin the simulator's output byte for byte.
+GOLDEN_FRAMES = {
+    ("constant", 0): "00a1e1ee1967632c1a803de3282296768a1430df638d4e50150f0e735fe162be",
+    ("constant", 1): "b3fb3434d317ecacb21351d6ace955c8149676785e435fdfd6fdd4d179d63bd5",
+    ("constant", 2): "b280c0d388f31079b853c3432b716594be68d0b80063256904c2e15fc6b61d7b",
+    ("random", 0): "8ec638cb10e0411ea7a5aaefaf929200066882d6f53bb754c5fbe21821d6a735",
+    ("random", 1): "0387d7d31daed123cb555522c76729ecb3b305f13a7f0b6e1d942efb0ffae64c",
+    ("random", 2): "9846b047730d1eac946df6f950decb7d702fa2c68df905777564b2a5ba31d119",
+}
+# The ("random", 0) run with `jail_capacity = unlimited` added to the config file.
+GOLDEN_UNLIMITED = "20ec0d51a83f5cca4c3954f63d7ac11ee6821d7701b0bb5aad2f4fbfafd58054"
+
+
 class TestConfig:
     def test_load_and_merge(self, small_config):
         cfg = resolve(small_config)
@@ -51,6 +71,24 @@ class TestConfig:
         path = tmp_path / "cap.cfg"
         path.write_text("jail_capacity = unlimited\n")
         assert load_config(path)["jail_capacity"] is None
+
+    @pytest.mark.parametrize("source", ["--set", "--config"])
+    @pytest.mark.parametrize(
+        "key,value", [("grid_width", "none"), ("cop_ratio_mode", "none"), ("grid_width", "4.5")]
+    )
+    def test_bad_value_exit_one_names_key(self, tmp_path, capsys, source, key, value):
+        if source == "--set":
+            flags = ("--set", f"{key}={value}")
+        else:
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"{key} = {value}\n")
+            flags = ("--config", str(path))
+        out = tmp_path / "run"
+        assert run_cli("simulate", *flags, "--steps", "10", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_env_var_default(self, small_config, monkeypatch):
         monkeypatch.setenv(CONFIG_ENV_VAR, small_config)
@@ -126,6 +164,44 @@ class TestSimulate:
 
     def test_usage_error_exit_one(self, tmp_path):
         assert run_cli("simulate", "--seeds", "9:3", "--out", str(tmp_path / "x")) == 1
+
+    def test_failing_writer_leaves_no_output(self, small_config, tmp_path, monkeypatch):
+        def write_part_then_fail(frame, path):
+            with open(path, "w") as fh:
+                fh.write("time,quiet\n1,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_frame_csv", write_part_then_fail)
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--config", small_config, "--steps", "20", "--out", str(out))
+        assert code == 2
+        assert os.listdir(out) == []
+
+
+class TestGoldenFrames:
+    @pytest.mark.parametrize("legitimacy,seed", sorted(GOLDEN_FRAMES))
+    def test_frame_digest(self, small_config, tmp_path, legitimacy, seed):
+        out = tmp_path / "run"
+        assert run_cli(
+            "simulate", "--config", small_config, "--seed", str(seed), "--steps", "300",
+            "--legitimacy", legitimacy, "--out", str(out),
+        ) == 0
+        assert frame_digest(out) == GOLDEN_FRAMES[legitimacy, seed]
+
+    def test_unlimited_capacity_from_file_and_set(self, small_config, tmp_path):
+        unlimited = tmp_path / "unlimited.cfg"
+        unlimited.write_text(SMALL_CFG + "jail_capacity = unlimited\n")
+        sources = {
+            "file": ("--config", str(unlimited)),
+            "set": ("--config", small_config, "--set", "jail_capacity=unlimited"),
+        }
+        for name, flags in sources.items():
+            out = tmp_path / name
+            assert run_cli(
+                "simulate", *flags, "--seed", "0", "--steps", "300",
+                "--legitimacy", "random", "--out", str(out),
+            ) == 0
+            assert frame_digest(out) == GOLDEN_UNLIMITED, name
 
 
 class TestScan:
@@ -235,6 +311,18 @@ class TestAnalyze:
 
     def test_requires_a_flag(self, tmp_path):
         assert run_cli("analyze", "--data", "x.csv", "--out", str(tmp_path / "a")) == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        ["time,active\n1,abc\n", "tick,active\n1,3\n", "time,active\n1,3,4\n", ""],
+        ids=["non_numeric", "no_time_header", "field_count", "empty"],
+    )
+    def test_bad_frame_csv_exit_two(self, tmp_path, content):
+        data = tmp_path / "bad.csv"
+        data.write_text(content)
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--data", str(data), "--trapped", "--out", str(out)) == 2
+        assert os.listdir(out) == []
 
 
 class TestExportComparison:

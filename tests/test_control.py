@@ -84,11 +84,16 @@ class TestLegitimacySchedule:
         assert s.change_times[0] > 0
         assert s.change_times[-1] < 3000
 
-    def test_materialize_matches_value_at(self):
+    def test_materialize_follows_segment_rule(self):
+        # values[0] holds before the first change tick; values[i] holds from
+        # change_times[i-1] on.
         s = make_legitimacy_schedule(3, 500)
-        arr = s.materialize(500)
-        for t in (1, 100, 250, 499, 500):
-            assert arr[t - 1] == s.value_at(t)
+        expected, seg = [], 0
+        for tick in range(1, 501):
+            while seg < len(s.change_times) and tick >= s.change_times[seg]:
+                seg += 1
+            expected.append(s.values[seg])
+        assert np.array_equal(s.materialize(500), np.array(expected))
 
     def test_segment_values_uniform(self):
         # pooled segment values across many schedules: KS against U(0.6, 0.85)
@@ -97,11 +102,6 @@ class TestLegitimacySchedule:
         )
         stat, p = stats.kstest(vals, "uniform", args=(0.6, 0.25))
         assert p > 0.01
-
-    def test_shifted(self):
-        s = make_legitimacy_schedule(1, 100)
-        t = s.shifted(50)
-        assert np.array_equal(t.change_times, s.change_times + 50)
 
 
 def constant_history(n, active=30.0, jailed=200.0, propaganda=0.1):
