@@ -15,7 +15,6 @@ from .abm import (
     WorldState,
     arrest_probability,
     citizen_behavior,
-    enforce,
     grievance,
     init_world,
     run_scenario,

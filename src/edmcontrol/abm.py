@@ -39,7 +39,6 @@ __all__ = [
     "grievance",
     "arrest_probability",
     "citizen_behavior",
-    "enforce",
     "step",
     "run_scenario",
     "OBSERVATION_COLUMNS",
@@ -135,32 +134,33 @@ def _geometry(width: int, height: int, vision: float):
     return move_offsets, widths
 
 
-def _disc_sums(grid: np.ndarray, vision: float) -> np.ndarray:
-    """Torus sum of ``grid`` over the vision disc centered at every cell.
+def _disc_sums(grids: np.ndarray, vision: float) -> np.ndarray:
+    """Torus sum over the vision disc centered at every cell of each grid.
 
-    Row segments come from a wrapped cumulative sum, then rows are combined
-    with circular shifts; cost is O(cells * vision) instead of
+    ``grids`` holds one or more ``(height, width)`` grids in its last two
+    axes.  Row segments come from a wrapped cumulative sum, then rows are
+    combined with circular shifts; cost is O(cells * vision) instead of
     O(cells * disc area).
     """
-    height, width = grid.shape
+    height, width = grids.shape[-2:]
     r = int(math.floor(vision))
     _, widths = _geometry(width, height, vision)
-    wrapped = np.concatenate([grid[:, width - r :], grid, grid[:, :r]], axis=1)
-    cs = np.zeros((height, wrapped.shape[1] + 1), dtype=np.int64)
-    np.cumsum(wrapped, axis=1, out=cs[:, 1:])
+    wrapped = np.concatenate([grids[..., width - r :], grids, grids[..., :r]], axis=-1)
+    cs = np.zeros(wrapped.shape[:-1] + (wrapped.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(wrapped, axis=-1, out=cs[..., 1:])
     xs = np.arange(width) + r
     # vertically padded row segments per distinct half-width; row y of the
     # disc sum adds segment row (y + dy) mod height as a plain slice
     pads: dict[int, np.ndarray] = {}
-    out = np.zeros_like(grid, dtype=np.int64)
+    out = np.zeros(grids.shape, dtype=np.int64)
     for dy in range(-r, r + 1):
         w = int(widths[dy + r])
         padded = pads.get(w)
         if padded is None:
-            seg = cs[:, xs + w + 1] - cs[:, xs - w]
-            padded = np.concatenate([seg[height - r :], seg, seg[:r]], axis=0)
+            seg = cs[..., xs + w + 1] - cs[..., xs - w]
+            padded = np.concatenate([seg[..., height - r :, :], seg, seg[..., :r, :]], axis=-2)
             pads[w] = padded
-        out += padded[r + dy : r + dy + height]
+        out += padded[..., r + dy : r + dy + height, :]
     return out
 
 
@@ -257,52 +257,67 @@ def _torus_within(ax, ay, x, y, width, height, vision) -> np.ndarray:
     return dx * dx + dy * dy <= vision * vision
 
 
-def enforce(world: WorldState, cop_index: int) -> int | None:
-    """One cop's arrest attempt: jail a uniformly random Active citizen in vision.
+def _neighborhood_counts(world: WorldState) -> np.ndarray:
+    """Cop and Active counts seen from every cell (vision disc or single cell).
 
-    Returns the arrested citizen's index, or None if no Active citizen is
-    visible or jail capacity is exhausted.  The jail term is drawn uniformly
-    from ``1..max_jail_term``.
+    Returns a ``(2, n_cells)`` stack: cop counts, then Active counts.
     """
     p = world.params
-    if p.jail_capacity is not None:
-        if int((world.citizen_state == STATE_JAILED).sum()) >= p.jail_capacity:
-            return None
-    active_ids = np.flatnonzero(world.citizen_state == STATE_ACTIVE)
-    if active_ids.size == 0:
-        return None
+    cop_cells = world.cop_y * p.grid_width + world.cop_x
+    active_mask = world.citizen_state == STATE_ACTIVE
+    act_cells = (world.citizen_y * p.grid_width + world.citizen_x)[active_mask]
+    grids = np.bincount(
+        np.concatenate([cop_cells, act_cells + p.n_cells]), minlength=2 * p.n_cells
+    )
+    if p.cop_ratio_mode == "cell":
+        return grids.reshape(2, p.n_cells)
+    stack = grids.reshape(2, p.grid_height, p.grid_width)
+    return _disc_sums(stack, p.vision).reshape(2, p.n_cells)
+
+
+def _enforce(world: WorldState) -> list[int]:
+    """Enforcement phase: shuffled cops each jail one visible Active citizen.
+
+    Each cop picks uniformly among the not-yet-arrested Active citizens in
+    its vision, and the jail term is drawn uniformly from
+    ``1..max_jail_term``.  Arrests stop once jail capacity is reached.  The
+    cop order is drawn only when some cop sees an Active citizen.  Returns
+    the arrested citizens in arrest order.
+    """
+    p = world.params
+    state = world.citizen_state
+    active_ids = np.flatnonzero(state == STATE_ACTIVE)
+    if active_ids.size == 0 or p.n_cops == 0:
+        return []
     within = _torus_within(
-        world.citizen_x[active_ids],
-        world.citizen_y[active_ids],
-        world.cop_x[cop_index],
-        world.cop_y[cop_index],
+        world.citizen_x[active_ids][None, :],
+        world.citizen_y[active_ids][None, :],
+        world.cop_x[:, None],
+        world.cop_y[:, None],
         p.grid_width,
         p.grid_height,
         p.vision,
     )
-    cand = active_ids[within]
-    if cand.size == 0:
-        return None
-    cid = int(cand[world.rng.integers(cand.size)])
-    world.citizen_state[cid] = STATE_JAILED
-    world.jail_remaining[cid] = int(world.rng.integers(1, p.max_jail_term + 1))
-    return cid
-
-
-def _neighborhood_counts(world: WorldState):
-    """Cop and Active counts seen from every cell (vision disc or single cell)."""
-    p = world.params
-    shape = (p.grid_height, p.grid_width)
-    cop_cells = world.cop_y * p.grid_width + world.cop_x
-    active_mask = world.citizen_state == STATE_ACTIVE
-    act_cells = (world.citizen_y * p.grid_width + world.citizen_x)[active_mask]
-    cop_grid = np.bincount(cop_cells, minlength=p.n_cells)
-    act_grid = np.bincount(act_cells, minlength=p.n_cells)
-    if p.cop_ratio_mode == "cell":
-        return cop_grid, act_grid
-    cop_near = _disc_sums(cop_grid.reshape(shape), p.vision).ravel()
-    act_near = _disc_sums(act_grid.reshape(shape), p.vision).ravel()
-    return cop_near, act_near
+    if not within.any():
+        return []
+    room = active_ids.size
+    if p.jail_capacity is not None:
+        room = min(room, p.jail_capacity - int((state == STATE_JAILED).sum()))
+    alive = np.ones(active_ids.size, dtype=bool)
+    arrested: list[int] = []
+    for c in world.rng.permutation(p.n_cops):
+        if len(arrested) >= room:
+            break
+        cand = np.flatnonzero(within[c] & alive)
+        if cand.size == 0:
+            continue
+        pick = int(cand[world.rng.integers(cand.size)])
+        cid = int(active_ids[pick])
+        state[cid] = STATE_JAILED
+        world.jail_remaining[cid] = int(world.rng.integers(1, p.max_jail_term + 1))
+        alive[pick] = False
+        arrested.append(cid)
+    return arrested
 
 
 def step(world: WorldState) -> TickObservation:
@@ -347,36 +362,7 @@ def step(world: WorldState) -> TickObservation:
     )
 
     # 4. Enforcement: shuffled cops, each jails one visible Active citizen.
-    active_ids = np.flatnonzero(state == STATE_ACTIVE)
-    if active_ids.size and p.n_cops:
-        jailed_now = int((state == STATE_JAILED).sum())
-        within = _torus_within(
-            world.citizen_x[active_ids][None, :],
-            world.citizen_y[active_ids][None, :],
-            world.cop_x[:, None],
-            world.cop_y[:, None],
-            p.grid_width,
-            p.grid_height,
-            p.vision,
-        )
-        if within.any():
-            alive = np.ones(active_ids.size, dtype=bool)
-            n_alive = active_ids.size
-            for c in world.rng.permutation(p.n_cops):
-                if n_alive == 0:
-                    break
-                if p.jail_capacity is not None and jailed_now >= p.jail_capacity:
-                    break
-                cand = np.flatnonzero(within[c] & alive)
-                if cand.size == 0:
-                    continue
-                pick = int(cand[world.rng.integers(cand.size)])
-                cid = int(active_ids[pick])
-                state[cid] = STATE_JAILED
-                world.jail_remaining[cid] = int(world.rng.integers(1, p.max_jail_term + 1))
-                alive[pick] = False
-                n_alive -= 1
-                jailed_now += 1
+    _enforce(world)
 
     quiet, active, jailed_count = world.counts()
     return TickObservation(
@@ -394,8 +380,6 @@ def _legitimacy_per_tick(legitimacy, params: WorldParams, steps: int) -> np.ndar
         return np.full(steps, params.legitimacy)
     if np.isscalar(legitimacy):
         return np.full(steps, float(legitimacy))
-    if hasattr(legitimacy, "materialize"):
-        return np.asarray(legitimacy.materialize(steps), dtype=np.float64)
     arr = np.asarray(legitimacy, dtype=np.float64)
     if arr.shape != (steps,):
         raise ValueError(f"legitimacy array must have length {steps}, got {arr.shape}")
@@ -411,8 +395,8 @@ def run_scenario(
 ) -> Frame:
     """Run a full scenario and return the observation frame (ticks 1..steps).
 
-    ``legitimacy`` may be None (constant ``params.legitimacy``), a scalar, a
-    per-tick array, or a schedule object with ``materialize(steps)``.  When a
+    ``legitimacy`` may be None (constant ``params.legitimacy``), a scalar, or
+    a per-tick array of length ``steps``.  When a
     ``controller`` is supplied it is called after every tick with the history
     frame so far and must return an object with ``propaganda`` (applied from
     the next tick on) and ``forecast`` attributes; the frame then carries a

@@ -203,6 +203,10 @@ def _scan(args: dict, out: _Outputs) -> None:
 def _cmd_scan(ns) -> int:
     if ns.data is None and not ns.generate:
         raise UsageError("scan needs --data CSV or --generate")
+    if ns.data is not None:
+        for flag, value in (("--config", ns.config), ("--set", ns.set)):
+            if value is not None:
+                raise UsageError(f"scan --data reads no config; drop {flag}")
     if ns.mode in ("Tp", "theta") and ns.e is None:
         raise UsageError(f"--mode {ns.mode} requires --e")
     args = {
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("forecast", help="out-of-sample S-map forecast on a frame CSV")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--data", required=True)
     p.add_argument(
         "--coords",

@@ -186,17 +186,15 @@ def smap_predict(
     library: Embedding,
     queries,
     theta: float,
-    k: int | None = None,
     exclusion_radius: int = -1,
 ) -> list[SMapOutput]:
     """Locally weighted linear prediction (S-map) for each query.
 
-    For a query ``y``: take the ``k`` nearest library rows (default: the
-    whole library, so locality comes from the kernel alone), compute the mean
-    neighbor distance ``D``, reweight the design matrix ``(1 | X)`` and the
-    response by ``exp(-theta * d_i / D)``, solve the least-squares problem
-    with a rank-revealing factorization, and evaluate the fitted affine map
-    at ``y``.
+    For a query ``y``: take every usable library row (locality comes from the
+    kernel alone), compute the mean neighbor distance ``D``, reweight the
+    design matrix ``(1 | X)`` and the response by ``exp(-theta * d_i / D)``,
+    solve the least-squares problem with a rank-revealing factorization, and
+    evaluate the fitted affine map at ``y``.
 
     With ``theta = 0`` every weight is 1 and the solve reduces to ordinary
     least squares over the neighbor set.  If all neighbors coincide
@@ -214,7 +212,7 @@ def smap_predict(
     outputs: list[SMapOutput] = []
     for i, q in enumerate(pts):
         qt = None if times is None else times[i]
-        nn = knn(library, q, k, query_time=qt, exclusion_radius=exclusion_radius)
+        nn = knn(library, q, None, query_time=qt, exclusion_radius=exclusion_radius)
         d_mean = float(nn.distances.mean())
         targets = library.targets[nn.indices]
         if d_mean == 0.0:

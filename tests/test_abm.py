@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +14,10 @@ from edmcontrol.abm import (
     GovState,
     WorldParams,
     arrest_probability,
+    _enforce,
+    _neighborhood_counts,
+    _torus_within,
     citizen_behavior,
-    enforce,
     grievance,
     init_world,
     run_scenario,
@@ -136,8 +140,10 @@ class TestRules:
 
 
 class TestEnforce:
+    ONE_COP = dataclasses.replace(SMALL, n_cops=1)
+
     def world_with_states(self, states):
-        w = init_world(SMALL, seed=4)
+        w = init_world(self.ONE_COP, seed=4)
         w.citizen_state[:] = STATE_QUIET
         for idx, s in states.items():
             w.citizen_state[idx] = s
@@ -145,7 +151,7 @@ class TestEnforce:
 
     def test_no_active_in_vision_no_event(self):
         w = self.world_with_states({})
-        assert enforce(w, 0) is None
+        assert _enforce(w) == []
 
     def test_single_visible_active_is_jailed(self):
         w = self.world_with_states({})
@@ -153,7 +159,7 @@ class TestEnforce:
         w.citizen_x[0] = w.cop_x[0]
         w.citizen_y[0] = w.cop_y[0]
         w.citizen_state[0] = STATE_ACTIVE
-        assert enforce(w, 0) == 0
+        assert _enforce(w) == [0]
         assert w.citizen_state[0] == STATE_JAILED
         assert 1 <= w.jail_remaining[0] <= SMALL.max_jail_term
 
@@ -161,7 +167,7 @@ class TestEnforce:
         counts = {1: 0, 2: 0, 3: 0}
         trials = 3000
         for t in range(trials):
-            w = init_world(SMALL, seed=5 + t)
+            w = init_world(self.ONE_COP, seed=5 + t)
             for cid in (1, 2, 3):
                 w.citizen_x[cid] = w.cop_x[0]
                 w.citizen_y[cid] = w.cop_y[0]
@@ -170,7 +176,8 @@ class TestEnforce:
             others = [i for i in range(SMALL.n_citizens) if i not in (1, 2, 3)]
             w.citizen_x[others] = (w.cop_x[0] + 10) % SMALL.grid_width
             w.citizen_y[others] = (w.cop_y[0] + 10) % SMALL.grid_height
-            counts[enforce(w, 0)] += 1
+            (arrested,) = _enforce(w)
+            counts[arrested] += 1
         # binomial 3-sigma band around 1/3
         sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
         for c in counts.values():
@@ -178,13 +185,103 @@ class TestEnforce:
 
     def test_jail_capacity_blocks_arrest(self):
         p = WorldParams(
-            grid_width=20, grid_height=20, n_citizens=50, n_cops=5, vision=3, jail_capacity=0
+            grid_width=20, grid_height=20, n_citizens=50, n_cops=1, vision=3, jail_capacity=0
         )
         w = init_world(p, seed=6)
         w.citizen_x[0] = w.cop_x[0]
         w.citizen_y[0] = w.cop_y[0]
         w.citizen_state[0] = STATE_ACTIVE
-        assert enforce(w, 0) is None
+        assert _enforce(w) == []
+
+
+class TestEnforceManyCops:
+    def crowd(self, params, actives, seed=3):
+        """Two cops on one cell, the given citizens Active there, everyone else
+        Quiet and out of sight."""
+        w = init_world(params, seed=seed)
+        w.citizen_state[:] = STATE_QUIET
+        w.cop_x[:] = w.cop_x[0]
+        w.cop_y[:] = w.cop_y[0]
+        w.citizen_x[:] = (w.cop_x[0] + 10) % params.grid_width
+        w.citizen_y[:] = (w.cop_y[0] + 10) % params.grid_height
+        for cid in actives:
+            w.citizen_x[cid] = w.cop_x[0]
+            w.citizen_y[cid] = w.cop_y[0]
+            w.citizen_state[cid] = STATE_ACTIVE
+        return w
+
+    def test_two_cops_one_active_one_arrest(self):
+        w = self.crowd(dataclasses.replace(SMALL, n_cops=2), actives=[0])
+        expected = copy.deepcopy(w.rng)
+        assert _enforce(w) == [0]
+        assert w.citizen_state[0] == STATE_JAILED
+        assert (w.citizen_state == STATE_JAILED).sum() == 1
+        # draws: the cop order, one candidate index, one jail term
+        expected.permutation(2)
+        expected.integers(1)
+        assert w.jail_remaining[0] == expected.integers(1, SMALL.max_jail_term + 1)
+        assert w.rng.bit_generator.state == expected.bit_generator.state
+
+    def test_capacity_one_short_stops_second_arrest(self):
+        p = dataclasses.replace(SMALL, n_cops=2, jail_capacity=3)
+        w = self.crowd(p, actives=[0, 1])
+        w.citizen_state[[5, 6]] = STATE_JAILED
+        arrested = _enforce(w)
+        assert len(arrested) == 1
+        assert arrested[0] in (0, 1)
+        assert (w.citizen_state == STATE_JAILED).sum() == p.jail_capacity
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_at_most_one_arrest_per_cop(self, seed):
+        w = init_world(SMALL, seed=seed)
+        w.citizen_state[:] = STATE_ACTIVE
+        arrested = _enforce(w)
+        assert 0 < len(arrested) <= SMALL.n_cops
+        assert len(set(arrested)) == len(arrested)
+        assert np.array_equal(
+            np.flatnonzero(w.citizen_state == STATE_JAILED), np.sort(arrested)
+        )
+
+
+class TestNeighborhoodCounts:
+    @staticmethod
+    def brute_force(w):
+        p = w.params
+        active = w.citizen_state == STATE_ACTIVE
+        cops = np.zeros(p.n_cells, dtype=np.int64)
+        acts = np.zeros(p.n_cells, dtype=np.int64)
+        for cell in range(p.n_cells):
+            x, y = cell % p.grid_width, cell // p.grid_width
+            if p.cop_ratio_mode == "cell":
+                cops[cell] = np.sum((w.cop_x == x) & (w.cop_y == y))
+                acts[cell] = np.sum(active & (w.citizen_x == x) & (w.citizen_y == y))
+            else:
+                args = (x, y, p.grid_width, p.grid_height, p.vision)
+                cops[cell] = _torus_within(w.cop_x, w.cop_y, *args).sum()
+                acts[cell] = _torus_within(w.citizen_x, w.citizen_y, *args)[active].sum()
+        return cops, acts
+
+    @pytest.mark.parametrize("mode", ["neighborhood", "cell"])
+    @pytest.mark.parametrize(
+        "width,height,vision",
+        [(20, 20, 3.0), (17, 11, 2.5), (9, 13, 4.0), (14, 7, 3.0)],
+    )
+    def test_matches_brute_force(self, mode, width, height, vision):
+        p = WorldParams(
+            grid_width=width,
+            grid_height=height,
+            n_citizens=width * height // 2,
+            n_cops=width * height // 8,
+            vision=vision,
+            cop_ratio_mode=mode,
+        )
+        for seed in range(3):
+            w = init_world(p, seed=seed)
+            w.citizen_state[:] = np.random.default_rng(seed).integers(0, 3, p.n_citizens)
+            cop_near, act_near = _neighborhood_counts(w)
+            cops, acts = self.brute_force(w)
+            assert np.array_equal(cop_near, cops)
+            assert np.array_equal(act_near, acts)
 
 
 class TestStep:

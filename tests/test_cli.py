@@ -236,6 +236,23 @@ class TestScan:
     def test_needs_data_or_generate(self, tmp_path):
         assert run_cli("scan", "--mode", "E", "--out", str(tmp_path / "s")) == 1
 
+    @pytest.mark.parametrize("flag", ["--config", "--set"])
+    def test_data_mode_rejects_config_flags(self, small_config, tmp_path, capsys, flag):
+        run_dir = tmp_path / "run"
+        run_cli(
+            "simulate", "--config", small_config, "--seed", "2", "--steps", "300",
+            "--out", str(run_dir),
+        )
+        value = str(tmp_path / "nonexistent.cfg") if flag == "--config" else "jail_capacity=bogus"
+        out = tmp_path / "scan"
+        code = run_cli(
+            "scan", "--mode", "E", "--data", str(run_dir / "frame.csv"), "--e-max", "3",
+            flag, value, "--out", str(out),
+        )
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_theta_mode_requires_e(self, tmp_path):
         assert (
             run_cli("scan", "--mode", "theta", "--generate", "--out", str(tmp_path / "s")) == 1
@@ -283,6 +300,19 @@ class TestForecast:
             "--out", str(tmp_path / "fc3"),
         )
         assert code == 1  # empty partition is a range/configuration error
+
+    @pytest.mark.parametrize("flag", ["--config", "--set"])
+    def test_config_flags_rejected(self, run_csv, small_config, tmp_path, capsys, flag):
+        value = small_config if flag == "--config" else "jail_capacity=bogus"
+        out = tmp_path / "fc5"
+        code = run_cli(
+            "forecast", "--data", run_csv, "--coords", "jailed:0,quiet:0", "--tp", "1",
+            "--lib", "1:200", "--pred", "301:400", "--theta", "0", flag, value,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file_exit_two(self, tmp_path):
         code = run_cli(
