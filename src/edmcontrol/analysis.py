@@ -102,7 +102,8 @@ def interaction_coefficients(
 class VariancePartition:
     """Sliding-window coefficient variances split by legitimacy regime.
 
-    ``low_starts`` / ``high_starts`` hold the origin tick of each window.
+    ``low_starts`` / ``high_starts`` hold the origin tick of each window;
+    ``n_skipped`` counts the windows dropped for non-finite coefficients.
     """
 
     low: np.ndarray
@@ -113,6 +114,7 @@ class VariancePartition:
     window: int
     stride: int
     label_mode: str
+    n_skipped: int
     low_density: object | None = None
     high_density: object | None = None
 
@@ -150,8 +152,9 @@ def partition_variance(
     variance joins the low or high sample according to its mean legitimacy
     (``label_mode="mean"``) or the value at its center (``"center"``)
     relative to ``threshold``.  Windows containing non-finite coefficients
-    are skipped.  Gaussian kernel density estimates (Silverman bandwidth)
-    accompany each sample when it supports one.
+    are skipped and counted in ``n_skipped``.  Gaussian kernel density
+    estimates (Silverman bandwidth) accompany each sample when it supports
+    one.
     """
     coef = np.asarray(jacobians.coef, dtype=np.float64)
     leg = np.asarray(legitimacy, dtype=np.float64)
@@ -164,9 +167,11 @@ def partition_variance(
     times = np.asarray(jacobians.times)
     low, high = [], []
     low_starts, high_starts = [], []
+    n_skipped = 0
     for start in range(0, coef.size - window + 1, stride):
         chunk = coef[start : start + window]
         if not np.isfinite(chunk).all():
+            n_skipped += 1
             continue
         if label_mode == "mean":
             label = float(leg[start : start + window].mean())
@@ -190,6 +195,7 @@ def partition_variance(
         window=window,
         stride=stride,
         label_mode=label_mode,
+        n_skipped=n_skipped,
         low_density=_kde(low_a),
         high_density=_kde(high_a),
     )

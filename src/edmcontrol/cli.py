@@ -200,29 +200,46 @@ def _scan(args: dict, out: _Outputs) -> None:
         print("warning: degenerate skill (zero variance) at one or more scan points", file=sys.stderr)
 
 
+# Flags each scan mode reads, and the defaults of the optional scan flags.
+# The parser leaves them None when absent, so a flag the run would not read
+# can be told apart from one left at its default.
+_SCAN_MODE_FLAGS = {"E": ("e_max", "tp"), "Tp": ("e", "tp_max"), "theta": ("e", "tp")}
+_SCAN_DEFAULTS = {"seed": 0, "steps": 4000, "e_max": 10, "tp": 5, "tp_max": 10}
+
+
 def _cmd_scan(ns) -> int:
     if ns.data is None and not ns.generate:
         raise UsageError("scan needs --data CSV or --generate")
     if ns.data is not None:
-        for flag, value in (("--config", ns.config), ("--set", ns.set)):
-            if value is not None:
-                raise UsageError(f"scan --data reads no config; drop {flag}")
-    if ns.mode in ("Tp", "theta") and ns.e is None:
+        generate_only = (
+            ("--config", ns.config is not None),
+            ("--set", ns.set is not None),
+            ("--generate", ns.generate),
+            ("--seed", ns.seed is not None),
+            ("--steps", ns.steps is not None),
+        )
+        for flag, present in generate_only:
+            if present:
+                raise UsageError(f"scan --data does not use {flag}; drop it")
+    used = _SCAN_MODE_FLAGS[ns.mode]
+    for name in ("e_max", "e", "tp", "tp_max"):
+        if name not in used and getattr(ns, name) is not None:
+            raise UsageError(f"scan --mode {ns.mode} does not use --{name.replace('_', '-')}; drop it")
+    if "e" in used and ns.e is None:
         raise UsageError(f"--mode {ns.mode} requires --e")
+
+    flags = {**_SCAN_DEFAULTS, **{k: v for k, v in vars(ns).items() if v is not None}}
     args = {
         "mode": ns.mode,
         "data": ns.data,
         "column": ns.column,
         "split": ns.split,
-        "e_max": ns.e_max,
-        "e": ns.e,
-        "tp": ns.tp,
-        "tp_max": ns.tp_max,
+        **{name: flags[name] for name in used},
     }
     if ns.data is None:
         args["config"] = resolve(ns.config, _config_overrides(ns))
-        args["seed"] = ns.seed
-        args["steps"] = ns.steps
+        args["seed"] = flags["seed"]
+        args["steps"] = flags["steps"]
     _run_command("scan", args, ns.out)
     return EXIT_OK
 
@@ -314,6 +331,11 @@ def _analyze(args: dict, out: _Outputs) -> None:
             stride=cfg["jacobian_stride"],
         )
         out.write("variance.csv", part.write_csv)
+        if part.n_skipped:
+            print(
+                f"warning: {part.n_skipped} variance window(s) skipped (non-finite coefficients)",
+                file=sys.stderr,
+            )
     if args["trapped"]:
         trapped = detect_trapped_state(
             frame,
@@ -458,12 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="frame CSV to scan")
     p.add_argument("--column", default="active")
     p.add_argument("--generate", action="store_true", help="scan a freshly simulated nominal run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--e-max", type=int, default=10, dest="e_max")
-    p.add_argument("--e", type=int, default=None)
-    p.add_argument("--tp", type=int, default=5)
-    p.add_argument("--tp-max", type=int, default=10, dest="tp_max")
+    d = _SCAN_DEFAULTS
+    p.add_argument("--seed", type=int, help=f"--generate only (default: {d['seed']})")
+    p.add_argument("--steps", type=int, help=f"--generate only (default: {d['steps']})")
+    p.add_argument("--e-max", type=int, dest="e_max", help=f"mode E (default: {d['e_max']})")
+    p.add_argument("--e", type=int, help="modes Tp and theta (required)")
+    p.add_argument("--tp", type=int, help=f"modes E and theta (default: {d['tp']})")
+    p.add_argument("--tp-max", type=int, dest="tp_max", help=f"mode Tp (default: {d['tp_max']})")
     p.add_argument("--split", type=float, default=0.6)
     p.set_defaults(func=_cmd_scan)
 

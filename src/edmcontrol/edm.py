@@ -1,10 +1,10 @@
 """Nearest-neighbor search, simplex projection, and S-map regression.
 
-The S-map fits, per query, a linear model over library points reweighted by
-an exponential kernel ``exp(-theta * d / D)`` where ``d`` is the distance from
-the query and ``D`` the mean distance over the neighbor set.  The fitted
-coefficient vector doubles as an estimate of the local Jacobian between the
-target and each state-space coordinate.
+The S-map fits, per query, a linear model over every usable library row
+reweighted by an exponential kernel ``exp(-theta * d / D)`` where ``d`` is the
+distance from the query and ``D`` the mean distance over the usable rows.  The
+fitted coefficient vector doubles as an estimate of the local Jacobian between
+the target and each state-space coordinate.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ class SMapOutput:
 
     prediction: float
     coefficients: np.ndarray
-    theta: float
-    mean_distance: float
     rank_deficient: bool = False
     degenerate: bool = False
 
@@ -74,16 +72,20 @@ def _distances_from(library: Embedding, query: np.ndarray) -> np.ndarray:
 
 def _exclusion_mask(library: Embedding, query_time, exclusion_radius: int) -> np.ndarray | None:
     """Boolean mask of library rows to keep, or None when nothing is excluded."""
-    if query_time is None or exclusion_radius < 0:
+    if exclusion_radius < 0:
         return None
+    if query_time is None:
+        raise ValueError("exclusion_radius needs query times: pass an Embedding or query_time")
     keep = np.abs(library.times - int(query_time)) > exclusion_radius
+    if not keep.any():
+        raise ValueError("exclusion radius removed every library row")
     return keep
 
 
 def knn(
     library: Embedding,
     query: np.ndarray,
-    k: int | None,
+    k: int,
     query_time: int | None = None,
     exclusion_radius: int = -1,
 ) -> NeighborSet:
@@ -92,10 +94,10 @@ def knn(
     Ties are broken by ascending library row id, so the result is
     deterministic.  When ``query_time`` is given, rows whose origin lies
     within ``exclusion_radius`` ticks of it are removed first (leave-one-out
-    support).  ``k=None`` selects every usable row; if an explicit ``k``
-    exceeds the usable library size, all rows are returned with a warning.
+    support).  If ``k`` exceeds the usable library size, all rows are
+    returned with a warning.
     """
-    if k is not None and k < 1:
+    if k < 1:
         raise ValueError("k must be >= 1")
     if len(library) == 0:
         raise ValueError("empty library")
@@ -104,11 +106,7 @@ def knn(
     keep = _exclusion_mask(library, query_time, exclusion_radius)
     if keep is not None:
         dist, ids = dist[keep], ids[keep]
-        if ids.size == 0:
-            raise ValueError("exclusion radius removed every library row")
-    if k is None:
-        k = ids.size
-    elif k > ids.size:
+    if k > ids.size:
         warnings.warn(
             f"k={k} exceeds usable library size {ids.size}; returning all rows",
             stacklevel=2,
@@ -163,25 +161,6 @@ def simplex_predict(
     return out
 
 
-def _solve_weighted(points, targets, query, weights, theta, mean_dist):
-    """Weighted least squares on (1 | points); minimum-norm on rank deficiency."""
-    n, e = points.shape
-    a = np.empty((n, e + 1), dtype=np.float64)
-    a[:, 0] = 1.0
-    a[:, 1:] = points
-    aw = a * weights[:, None]
-    bw = targets * weights
-    coef, _, rank, _ = np.linalg.lstsq(aw, bw, rcond=None)
-    pred = coef[0] + float(np.dot(coef[1:], query))
-    return SMapOutput(
-        prediction=pred,
-        coefficients=coef,
-        theta=theta,
-        mean_distance=mean_dist,
-        rank_deficient=rank < e + 1,
-    )
-
-
 def smap_predict(
     library: Embedding,
     queries,
@@ -190,16 +169,17 @@ def smap_predict(
 ) -> list[SMapOutput]:
     """Locally weighted linear prediction (S-map) for each query.
 
-    For a query ``y``: take every usable library row (locality comes from the
-    kernel alone), compute the mean neighbor distance ``D``, reweight the
-    design matrix ``(1 | X)`` and the response by ``exp(-theta * d_i / D)``,
-    solve the least-squares problem with a rank-revealing factorization, and
-    evaluate the fitted affine map at ``y``.
+    For a query ``y``: take every usable library row in stored order
+    (locality comes from the kernel alone), compute the mean distance ``D``
+    over the usable rows, reweight the design matrix ``(1 | X)`` and the
+    response by ``exp(-theta * d_i / D)``, solve the least-squares problem
+    with a rank-revealing factorization, and evaluate the fitted affine map
+    at ``y``.
 
     With ``theta = 0`` every weight is 1 and the solve reduces to ordinary
-    least squares over the neighbor set.  If all neighbors coincide
-    (``D = 0``) the output is flagged degenerate: the prediction is the
-    weighted mean target and the coordinate coefficients are zero.
+    least squares over the usable rows.  If all usable rows coincide with
+    the query (``D = 0``) the output is flagged degenerate: the prediction
+    is the mean target and the coordinate coefficients are zero.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
@@ -209,22 +189,30 @@ def smap_predict(
             f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
         )
     pts, times = _query_points_times(queries)
+    design = np.empty((len(library), library.e + 1), dtype=np.float64)
+    design[:, 0] = 1.0
+    design[:, 1:] = library.points
     outputs: list[SMapOutput] = []
     for i, q in enumerate(pts):
-        qt = None if times is None else times[i]
-        nn = knn(library, q, None, query_time=qt, exclusion_radius=exclusion_radius)
-        d_mean = float(nn.distances.mean())
-        targets = library.targets[nn.indices]
+        dist = _distances_from(library, q)
+        a, y = design, library.targets
+        keep = _exclusion_mask(library, None if times is None else times[i], exclusion_radius)
+        if keep is not None:
+            dist, a, y = dist[keep], a[keep], y[keep]
+        d_mean = float(dist.mean())
         if d_mean == 0.0:
             coef = np.zeros(library.e + 1)
-            coef[0] = float(targets.mean())
-            outputs.append(
-                SMapOutput(coef[0], coef, theta, 0.0, degenerate=True)
-            )
+            coef[0] = float(y.mean())
+            outputs.append(SMapOutput(coef[0], coef, degenerate=True))
             continue
-        w = np.exp(-theta * nn.distances / d_mean)
+        w = np.exp(-theta * dist / d_mean)
+        coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], y * w, rcond=None)
         outputs.append(
-            _solve_weighted(library.points[nn.indices], targets, q, w, theta, d_mean)
+            SMapOutput(
+                prediction=coef[0] + float(np.dot(coef[1:], q)),
+                coefficients=coef,
+                rank_deficient=rank < library.e + 1,
+            )
         )
     return outputs
 

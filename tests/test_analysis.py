@@ -103,6 +103,12 @@ class TestPartitionVariance:
         jac = JacobianSeries(times=np.arange(1, 101), coef=coef, theta=1.0)
         part = partition_variance(jac, np.full(100, 0.6), window=20, stride=10)
         assert part.low.size == 9 - 2  # windows starting at 20 and 30 are dropped
+        assert part.n_skipped == 2
+        clean = partition_variance(
+            JacobianSeries(times=np.arange(1, 101), coef=np.ones(100), theta=1.0),
+            np.full(100, 0.6), window=20, stride=10,
+        )
+        assert clean.n_skipped == 0
 
     def test_window_longer_than_record(self):
         jac = JacobianSeries(times=np.arange(1, 11), coef=np.ones(10), theta=1.0)

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from edmcontrol import cli
+from edmcontrol.analysis import JacobianSeries
 from edmcontrol.cli import main
 from edmcontrol.config import CONFIG_ENV_VAR, DEFAULTS, load_config, resolve
 from edmcontrol.timeseries import read_frame_csv
@@ -236,22 +238,67 @@ class TestScan:
     def test_needs_data_or_generate(self, tmp_path):
         assert run_cli("scan", "--mode", "E", "--out", str(tmp_path / "s")) == 1
 
-    @pytest.mark.parametrize("flag", ["--config", "--set"])
+    # flags that only a --generate run reads
+    @pytest.mark.parametrize("flag", ["--config", "--set", "--generate", "--seed", "--steps"])
     def test_data_mode_rejects_config_flags(self, small_config, tmp_path, capsys, flag):
         run_dir = tmp_path / "run"
         run_cli(
             "simulate", "--config", small_config, "--seed", "2", "--steps", "300",
             "--out", str(run_dir),
         )
-        value = str(tmp_path / "nonexistent.cfg") if flag == "--config" else "jail_capacity=bogus"
+        values = {
+            "--config": (str(tmp_path / "nonexistent.cfg"),),
+            "--set": ("jail_capacity=bogus",),
+            "--generate": (),
+            "--seed": ("5",),
+            "--steps": ("999",),
+        }
         out = tmp_path / "scan"
         code = run_cli(
             "scan", "--mode", "E", "--data", str(run_dir / "frame.csv"), "--e-max", "3",
-            flag, value, "--out", str(out),
+            flag, *values[flag], "--out", str(out),
         )
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode,flags",
+        [
+            ("E", ("--e", "4")),
+            ("E", ("--tp-max", "3")),
+            ("Tp", ("--e", "2", "--e-max", "3")),
+            ("Tp", ("--e", "2", "--tp", "3")),
+            ("theta", ("--e", "2", "--e-max", "3")),
+            ("theta", ("--e", "2", "--tp-max", "3")),
+        ],
+    )
+    def test_mode_rejects_unused_flags(self, small_config, tmp_path, capsys, mode, flags):
+        out = tmp_path / "scan"
+        code = run_cli(
+            "scan", "--mode", mode, "--generate", "--config", small_config, "--steps", "300",
+            *flags, "--out", str(out),
+        )
+        assert code == 1
+        assert flags[-2] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_only_flags_the_mode_reads(self, small_config, tmp_path):
+        run_dir = tmp_path / "run"
+        run_cli(
+            "simulate", "--config", small_config, "--seed", "2", "--steps", "300",
+            "--out", str(run_dir),
+        )
+        reads = {"E": {"e_max", "tp"}, "Tp": {"e", "tp_max"}, "theta": {"e", "tp"}}
+        for mode, flags in (("E", ()), ("Tp", ("--e", "2")), ("theta", ("--e", "2"))):
+            out = tmp_path / mode
+            code = run_cli(
+                "scan", "--mode", mode, "--data", str(run_dir / "frame.csv"), *flags,
+                "--out", str(out),
+            )
+            assert code == 0
+            args = json.loads((out / "manifest.json").read_text())["args"]
+            assert set(args) == {"mode", "data", "column", "split"} | reads[mode]
 
     def test_theta_mode_requires_e(self, tmp_path):
         assert (
@@ -338,6 +385,28 @@ class TestAnalyze:
         assert (out / "trapped.csv").read_text().splitlines()[0] == "start,end"
         variance = (out / "variance.csv").read_text().splitlines()
         assert variance[0] == "window_start,legitimacy_regime,variance"
+
+    def test_partition_reports_skipped_windows(self, small_config, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        run_cli(
+            "simulate", "--config", small_config, "--seed", "6", "--steps", "400",
+            "--legitimacy", "random", "--out", str(gen),
+        )
+        times = read_frame_csv(gen / "frame.csv").time[10:]
+        coef = np.ones(times.size)
+        coef[5] = np.nan  # only the first window covers it
+        monkeypatch.setattr(
+            cli, "interaction_coefficients",
+            lambda frame, theta: JacobianSeries(times=times, coef=coef, theta=theta),
+        )
+        out = tmp_path / "analysis"
+        code = run_cli(
+            "analyze", "--data", str(gen / "frame.csv"), "--partition",
+            "--config", small_config, "--out", str(out),
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: 1 variance window(s) skipped (non-finite coefficients)"]
 
     def test_requires_a_flag(self, tmp_path):
         assert run_cli("analyze", "--data", "x.csv", "--out", str(tmp_path / "a")) == 1

@@ -35,6 +35,29 @@ def wls_oracle(points, targets, query, theta):
     return coef, coef[0] + coef[1:] @ query
 
 
+def sorted_reference_smap(lib, q, theta, keep=None):
+    """Reference S-map solved in (distance, row id) order: lexsort, gather, lstsq.
+
+    Returns (coefficients, prediction, rank_deficient, degenerate).
+    """
+    d = np.sqrt(((lib.points - q) ** 2).sum(axis=1))
+    ids = np.arange(len(lib))
+    if keep is not None:
+        d, ids = d[keep], ids[keep]
+    order = np.lexsort((ids, d))
+    d, ids = d[order], ids[order]
+    targets = lib.targets[ids]
+    dbar = d.mean()
+    if dbar == 0.0:
+        coef = np.zeros(lib.e + 1)
+        coef[0] = targets.mean()
+        return coef, coef[0], False, True
+    w = np.exp(-theta * d / dbar)
+    a = np.hstack([np.ones((ids.size, 1)), lib.points[ids]])
+    coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], targets * w, rcond=None)
+    return coef, coef[0] + coef[1:] @ q, rank < lib.e + 1, False
+
+
 class TestKnn:
     def test_single_neighbor(self):
         lib = embedding_from([[0.0], [1.0], [2.0]], [0, 0, 0])
@@ -87,6 +110,11 @@ class TestKnn:
         with pytest.raises(ValueError, match="every library row"):
             knn(lib, np.array([0.0]), k=1, query_time=11, exclusion_radius=5)
 
+    def test_exclusion_radius_without_query_time_rejected(self):
+        lib = embedding_from([[0.0], [0.1], [5.0]], [0, 0, 0], times=[10, 11, 12])
+        with pytest.raises(ValueError, match="query times"):
+            knn(lib, np.array([0.0]), k=1, exclusion_radius=0)
+
 
 class TestSimplex:
     def test_exact_match_returns_its_target(self):
@@ -130,6 +158,12 @@ class TestSimplex:
         perm = rng.permutation(40)
         lib2 = embedding_from(pts[perm], tgt[perm], times=np.arange(1, 41)[perm])
         assert np.allclose(simplex_predict(lib2, q), base)
+
+    def test_exclusion_radius_with_plain_array_queries_rejected(self):
+        rng = np.random.default_rng(43)
+        lib = embedding_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="query times"):
+            simplex_predict(lib, rng.normal(size=(3, 2)), exclusion_radius=2)
 
     def test_affine_equivariance_in_targets(self):
         rng = np.random.default_rng(17)
@@ -189,6 +223,17 @@ class TestSmap:
         assert out.rank_deficient
         assert math.isfinite(out.prediction)
 
+    def test_exclusion_radius_with_plain_array_queries_rejected(self):
+        rng = np.random.default_rng(47)
+        lib = embedding_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        with pytest.raises(ValueError, match="query times"):
+            smap_predict(lib, rng.normal(size=(3, 2)), theta=2.0, exclusion_radius=100)
+
+    def test_exclusion_radius_removing_every_row_rejected(self):
+        lib = embedding_from(np.random.default_rng(53).normal(size=(6, 1)), np.zeros(6))
+        with pytest.raises(ValueError, match="every library row"):
+            smap_predict(lib, lib, theta=1.0, exclusion_radius=10)
+
     def test_library_too_small(self):
         lib = embedding_from(np.ones((3, 2)), np.ones(3))
         with pytest.raises(ValueError, match="at least"):
@@ -240,6 +285,68 @@ class TestSmap:
         away_from_zero = np.abs(true) > 0.5
         rel = np.abs(fitted - true)[away_from_zero] / np.abs(true)[away_from_zero]
         assert np.median(rel) < 0.10
+
+
+class TestSmapStoredOrderEquivalence:
+    """The stored-order solve agrees with a solve over rows sorted by distance."""
+
+    @staticmethod
+    def assert_matches_reference(lib, queries, theta, exclusion_radius=-1):
+        outs = smap_predict(lib, queries, theta, exclusion_radius=exclusion_radius)
+        for i, out in enumerate(outs):
+            q = queries.points[i] if hasattr(queries, "points") else queries[i]
+            keep = None
+            if exclusion_radius >= 0:
+                keep = np.abs(lib.times - queries.times[i]) > exclusion_radius
+            coef, pred, rank_deficient, degenerate = sorted_reference_smap(lib, q, theta, keep)
+            got = np.append(out.coefficients, out.prediction)
+            want = np.append(coef, pred)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+            assert out.rank_deficient == rank_deficient
+            assert out.degenerate == degenerate
+        return outs
+
+    def test_random_libraries(self):
+        rng = np.random.default_rng(59)
+        for i in range(40):
+            n = int(rng.integers(10, 200))
+            e = int(rng.integers(1, 8))
+            theta = 0.0 if i % 5 == 0 else float(rng.uniform(0.0, 9.0))
+            lib = embedding_from(rng.normal(size=(n, e)), rng.normal(size=n))
+            self.assert_matches_reference(lib, rng.normal(size=(3, e)), theta)
+
+    def test_collinear_library_rank_deficient(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=50)
+        lib = embedding_from(np.column_stack([x, 2 * x, -x]), rng.normal(size=50))
+        for theta in (0.0, 2.0, 8.0):
+            outs = self.assert_matches_reference(lib, rng.normal(size=(4, 3)), theta)
+            assert all(o.rank_deficient for o in outs)
+
+    def test_coincident_library_degenerate(self):
+        lib = embedding_from(np.full((8, 3), 0.25), np.arange(8.0))
+        outs = self.assert_matches_reference(lib, np.full((2, 3), 0.25), 3.0)
+        assert all(o.degenerate for o in outs)
+
+    def test_exclusion_radius(self):
+        rng = np.random.default_rng(67)
+        lib = embedding_from(rng.normal(size=(120, 4)), rng.normal(size=120))
+        for radius in (0, 3, 25):
+            self.assert_matches_reference(lib, lib, 4.0, exclusion_radius=radius)
+
+    def test_exclusion_equals_fit_on_kept_rows_bit_for_bit(self):
+        from edmcontrol.timeseries import build_delay_embedding
+
+        rng = np.random.default_rng(71)
+        emb = build_delay_embedding(np.cumsum(rng.normal(size=300)), e=3, tau=2, tp=1)
+        for radius in (0, 5):
+            outs = smap_predict(emb, emb, 2.5, exclusion_radius=radius)
+            for i, out in enumerate(outs):
+                kept = emb.take(np.flatnonzero(np.abs(emb.times - emb.times[i]) > radius))
+                ref = smap_predict(kept, emb.points[i : i + 1], 2.5)[0]
+                assert out.prediction == ref.prediction
+                assert np.array_equal(out.coefficients, ref.coefficients)
+                assert (out.rank_deficient, out.degenerate) == (ref.rank_deficient, ref.degenerate)
 
 
 class TestPearson:
