@@ -3,6 +3,8 @@ for predictive control, demonstrated on a civil-disobedience agent-based
 simulation with a logistic propaganda controller.
 """
 
+import logging
+
 __version__ = "0.1.0"
 
 from .abm import (
@@ -75,3 +77,7 @@ from .timeseries import (
     split_library_prediction,
     write_frame_csv,
 )
+
+# The library logs under "edmcontrol" and is silent unless the application
+# configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

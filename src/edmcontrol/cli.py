@@ -345,15 +345,29 @@ def _analyze(args: dict, out: _Outputs) -> None:
         out.write("trapped.csv", trapped.write_csv)
 
 
+# Config keys each analysis reads; a --set key that none of the requested
+# analyses reads is an error rather than silently ignored.
+_ANALYZE_KEYS = {
+    "jacobian": ("jacobian_theta",),
+    "partition": ("jacobian_theta", "legitimacy_threshold", "jacobian_window", "jacobian_stride"),
+    "trapped": ("trapped_active_floor", "trapped_min_duration"),
+}
+
+
 def _cmd_analyze(ns) -> int:
     if not (ns.jacobian or ns.partition or ns.trapped):
         raise UsageError("analyze needs at least one of --jacobian --partition --trapped")
+    overrides = _config_overrides(ns)
+    read = {key for flag, keys in _ANALYZE_KEYS.items() if getattr(ns, flag) for key in keys}
+    for key in overrides:
+        if key not in read:
+            raise UsageError(f"analyze does not read --set {key} with the analyses requested; drop it")
     args = {
         "data": ns.data,
         "jacobian": ns.jacobian,
         "partition": ns.partition,
         "trapped": ns.trapped,
-        "config": resolve(ns.config, _config_overrides(ns)),
+        "config": resolve(ns.config, overrides),
     }
     _run_command("analyze", args, ns.out)
     return EXIT_OK

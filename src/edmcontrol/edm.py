@@ -5,10 +5,18 @@ reweighted by an exponential kernel ``exp(-theta * d / D)`` where ``d`` is the
 distance from the query and ``D`` the mean distance over the usable rows.  The
 fitted coefficient vector doubles as an estimate of the local Jacobian between
 the target and each state-space coordinate.
+
+Both methods run one blocked kernel, whether they get one query or
+thousands: each block of queries gets its distances, exclusion masks and
+weights in one pass, simplex selects neighbours with a partial sort, and the
+S-map solves each query's small Gram system in one batched solve.  S-map
+queries whose fit is degenerate, singular or ill-conditioned fall back to a
+rank-revealing least-squares solve.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,6 +35,20 @@ __all__ = [
     "smap_predictions",
     "pearson_rho",
 ]
+
+logger = logging.getLogger(__name__)
+
+# Bytes of the largest array one query block builds: the S-map's stacked
+# product, E + 2 float64 values per query and library row (simplex's few
+# queries x rows arrays fit the same budget).  Blocks stay near a MB
+# whatever the library size.
+_BLOCK_BYTES = 1 << 20
+
+# A Gram matrix scaled to unit diagonal is solved directly, with one step of
+# refinement, up to this condition number.  The normal equations square the
+# condition number of the weighted design; beyond it the rank-revealing
+# lstsq is the accurate answer.
+_GRAM_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
@@ -63,23 +85,94 @@ class SkillReport:
     degenerate: bool = False
 
 
-def _distances_from(library: Embedding, query: np.ndarray) -> np.ndarray:
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (library.e,):
-        raise ValueError(f"query has shape {q.shape}, library dimension is {library.e}")
-    return np.sqrt(((library.points - q) ** 2).sum(axis=1))
+def _query_points_times(library: Embedding, queries):
+    if isinstance(queries, Embedding):
+        pts, times = queries.points, queries.times
+    else:
+        pts, times = np.atleast_2d(np.asarray(queries, dtype=np.float64)), None
+    if pts.ndim != 2 or pts.shape[1] != library.e:
+        raise ValueError(f"query has shape {pts.shape[1:]}, library dimension is {library.e}")
+    return pts, times
 
 
-def _exclusion_mask(library: Embedding, query_time, exclusion_radius: int) -> np.ndarray | None:
-    """Boolean mask of library rows to keep, or None when nothing is excluded."""
+def _blocks(n_queries: int, library: Embedding):
+    """Query slices whose (queries, rows, E + 2) arrays fit in ``_BLOCK_BYTES``."""
+    size = max(1, _BLOCK_BYTES // (8 * len(library) * (library.e + 2)))
+    return [slice(i, i + size) for i in range(0, n_queries, size)]
+
+
+def _block_distances(library: Embedding, coords, pts, times, exclusion_radius: int):
+    """Distances from each query to every library row, and the rows each
+    query may use (None when nothing is excluded).
+
+    ``coords`` holds the library coordinates one per row (E x N), so the
+    squared differences are summed coordinate by coordinate: the same sums
+    as a row-wise ``sum`` up to E = 7, without a reduction over a short axis.
+    """
+    diff = coords[None, :, :] - pts[:, :, None]
+    diff *= diff
+    dist = np.sqrt(diff.sum(axis=1))
     if exclusion_radius < 0:
-        return None
-    if query_time is None:
+        return dist, None
+    if times is None:
         raise ValueError("exclusion_radius needs query times: pass an Embedding or query_time")
-    keep = np.abs(library.times - int(query_time)) > exclusion_radius
-    if not keep.any():
+    keep = np.abs(library.times[None, :] - times[:, None]) > exclusion_radius
+    if not keep.any(axis=1).all():
         raise ValueError("exclusion radius removed every library row")
-    return keep
+    return dist, keep
+
+
+def _nearest(dist: np.ndarray, keep, k: int):
+    """Each query's k nearest usable rows in (distance, row id) order.
+
+    ``np.partition`` finds each query's k-th distance; only the rows at or
+    below it are sorted.  Returns ids and distances of shape
+    ``(queries, min(k, rows))``; a query with fewer usable rows is padded
+    with id -1 and distance inf.
+    """
+    if keep is not None:
+        dist = np.where(keep, dist, np.inf)
+    n_queries, n_rows = dist.shape
+    width = min(k, n_rows)
+    kth = np.partition(dist, width - 1, axis=1)[:, width - 1 : width]
+    candidate = ~(dist > kth)  # NaN distances stay candidates and sort last
+    if keep is not None:
+        candidate &= keep
+    q, ids = np.nonzero(candidate)
+    d = dist[q, ids]
+    order = np.lexsort((ids, d, q))
+    q, ids, d = q[order], ids[order], d[order]
+    rank = np.arange(q.size) - np.searchsorted(q, q)
+    take = rank < width
+    out_ids = np.full((n_queries, width), -1)
+    out_d = np.full((n_queries, width), np.inf)
+    out_ids[q[take], rank[take]] = ids[take]
+    out_d[q[take], rank[take]] = d[take]
+    return out_ids, out_d
+
+
+def _neighbors(library: Embedding, pts, times, k: int, exclusion_radius: int):
+    """:func:`_nearest` over every query, block by block, warning when ``k``
+    exceeds the rows some query may use."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(library) == 0:
+        raise ValueError("empty library")
+    coords = np.ascontiguousarray(library.points.T)
+    parts = [
+        _nearest(*_block_distances(library, coords, pts[b], None if times is None else times[b],
+                                   exclusion_radius), k)
+        for b in _blocks(len(pts), library)
+    ]
+    ids = np.concatenate([p[0] for p in parts])
+    dist = np.concatenate([p[1] for p in parts])
+    usable = int((ids >= 0).sum(axis=1).min())
+    if k > usable:
+        warnings.warn(
+            f"k={k} exceeds usable library size {usable}; returning all rows",
+            stacklevel=3,
+        )
+    return ids, dist
 
 
 def knn(
@@ -97,44 +190,27 @@ def knn(
     support).  If ``k`` exceeds the usable library size, all rows are
     returned with a warning.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(library) == 0:
-        raise ValueError("empty library")
-    dist = _distances_from(library, query)
-    ids = np.arange(len(library))
-    keep = _exclusion_mask(library, query_time, exclusion_radius)
-    if keep is not None:
-        dist, ids = dist[keep], ids[keep]
-    if k > ids.size:
-        warnings.warn(
-            f"k={k} exceeds usable library size {ids.size}; returning all rows",
-            stacklevel=2,
-        )
-        k = ids.size
-    order = np.lexsort((ids, dist))[:k]
-    return NeighborSet(indices=ids[order], distances=dist[order])
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape != (library.e,):
+        raise ValueError(f"query has shape {q.shape}, library dimension is {library.e}")
+    times = None if query_time is None else np.array([int(query_time)])
+    ids, dist = _neighbors(library, q[None, :], times, k, exclusion_radius)
+    found = ids[0] >= 0
+    return NeighborSet(indices=ids[0][found], distances=dist[0][found])
 
 
 def _simplex_weights(distances: np.ndarray) -> np.ndarray:
-    """Exponential simplex kernel, scaled by the nearest distance.
+    """Exponential simplex kernel along the last axis, scaled by the nearest
+    (first) distance.
 
     Zero-distance neighbors (exact state matches) take over entirely:
-    they get uniform weight and all others get zero.
+    they get uniform weight and all others get zero.  Padding at distance
+    inf gets zero weight.
     """
-    w = np.zeros_like(distances)
-    if distances[0] == 0.0:
-        w[distances == 0.0] = 1.0
-    else:
-        w = np.exp(-distances / distances[0])
-    return w
-
-
-def _query_points_times(queries):
-    if isinstance(queries, Embedding):
-        return queries.points, queries.times
-    pts = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    return pts, None
+    nearest = distances[..., :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.exp(-distances / nearest)
+    return np.where(nearest == 0.0, (distances == 0.0).astype(np.float64), w)
 
 
 def simplex_predict(
@@ -149,16 +225,103 @@ def simplex_predict(
     optional exclusion window) or a plain 2-D array of state vectors.
     ``k`` defaults to ``E + 1``.
     """
-    pts, times = _query_points_times(queries)
+    pts, times = _query_points_times(library, queries)
     if k is None:
         k = library.e + 1
-    out = np.empty(pts.shape[0], dtype=np.float64)
-    for i, q in enumerate(pts):
-        qt = None if times is None else times[i]
-        nn = knn(library, q, k, query_time=qt, exclusion_radius=exclusion_radius)
-        w = _simplex_weights(nn.distances)
-        out[i] = np.dot(w, library.targets[nn.indices]) / w.sum()
-    return out
+    ids, dist = _neighbors(library, pts, times, k, exclusion_radius)
+    w = _simplex_weights(dist)
+    y = np.where(ids >= 0, library.targets[ids], 0.0)
+    return (w[:, None, :] @ y[:, :, None])[:, 0, 0] / w.sum(axis=1)
+
+
+def _lstsq_fit(library: Embedding, query, dist, keep, theta: float) -> SMapOutput:
+    """One S-map query by rank-revealing least squares on the usable rows.
+
+    Takes the fits the Gram solve does not: all usable rows at the query
+    (``D = 0``, flagged degenerate: mean target, zero slopes), singular and
+    ill-conditioned ones.  It returns the minimum-norm solution.
+    """
+    a = np.empty((len(library), library.e + 1), dtype=np.float64)
+    a[:, 0] = 1.0
+    a[:, 1:] = library.points
+    y = library.targets
+    if keep is not None:
+        dist, a, y = dist[keep], a[keep], y[keep]
+    d_mean = float(dist.mean())
+    if d_mean == 0.0:
+        coef = np.zeros(library.e + 1)
+        coef[0] = float(y.mean())
+        return SMapOutput(coef[0], coef, degenerate=True)
+    w = np.exp(-theta * dist / d_mean)
+    coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], y * w, rcond=None)
+    return SMapOutput(
+        prediction=coef[0] + float(np.dot(coef[1:], query)),
+        coefficients=coef,
+        rank_deficient=rank < library.e + 1,
+    )
+
+
+def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: int):
+    """S-map outputs, plus a mask of the queries the Gram solve took (the
+    others went to :func:`_lstsq_fit`)."""
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
+    min_rows = library.e + 2
+    if len(library) < min_rows:
+        raise ValueError(
+            f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
+        )
+    pts, times = _query_points_times(library, queries)
+    # Rows 1, X - mean and y: one stacked product per block gives every
+    # query's weighted Gram matrix and right-hand side.  Centring the
+    # coordinates keeps the intercept column from dominating the Gram matrix.
+    coords = np.ascontiguousarray(library.points.T)
+    center = coords.sum(axis=1) / len(library)
+    rows = np.empty((library.e + 2, len(library)), dtype=np.float64)
+    rows[0] = 1.0
+    np.subtract(coords, center[:, None], out=rows[1:-1])
+    rows[-1] = library.targets
+    design, target = rows[:-1], rows[-1]
+    outputs: list[SMapOutput] = []
+    solved = np.zeros(len(pts), dtype=bool)
+    for b in _blocks(len(pts), library):
+        q = pts[b]
+        qt = None if times is None else times[b]
+        dist, keep = _block_distances(library, coords, q, qt, exclusion_radius)
+        if keep is None:
+            d_mean = dist.mean(axis=1)
+        else:
+            d_mean = np.where(keep, dist, 0.0).sum(axis=1) / keep.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w2 = np.exp(-2.0 * theta * dist / d_mean[:, None])
+        if keep is not None:
+            w2[~keep] = 0.0
+        moments = (rows[None, :, :] * w2[:, None, :]) @ rows.T
+        gram, rhs = moments[:, :-1, :-1], moments[:, :-1, -1]
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        ok = np.flatnonzero((d_mean > 0.0) & (diag > 0.0).all(axis=1))
+        s = 1.0 / np.sqrt(diag[ok])
+        scaled = gram[ok] * s[:, :, None] * s[:, None, :]
+        eig = np.linalg.eigvalsh(scaled)
+        well = eig[:, 0] > eig[:, -1] / _GRAM_COND_MAX
+        ok, s, scaled = ok[well], s[well], scaled[well]
+        c = s * np.linalg.solve(scaled, (s * rhs[ok])[:, :, None])[:, :, 0]
+        # one refinement step from the weighted residuals: the intercept
+        # cancels large terms when coordinates sit far from the origin
+        resid = (target - c @ design) * w2[ok]
+        c += s * np.linalg.solve(scaled, (s * (resid @ design.T))[:, :, None])[:, :, 0]
+        coef = c.copy()
+        coef[:, 0] -= c[:, 1:] @ center
+        pred = c[:, 0] + ((q[ok] - center) * c[:, 1:]).sum(axis=1)
+        solved[b][ok] = True
+        fits = dict(zip(ok.tolist(), zip(pred, coef)))
+        for j in range(len(q)):
+            if j in fits:
+                outputs.append(SMapOutput(*fits[j]))
+            else:
+                kept = None if keep is None else keep[j]
+                outputs.append(_lstsq_fit(library, q[j], dist[j], kept, theta))
+    return outputs, solved
 
 
 def smap_predict(
@@ -169,51 +332,23 @@ def smap_predict(
 ) -> list[SMapOutput]:
     """Locally weighted linear prediction (S-map) for each query.
 
-    For a query ``y``: take every usable library row in stored order
-    (locality comes from the kernel alone), compute the mean distance ``D``
-    over the usable rows, reweight the design matrix ``(1 | X)`` and the
-    response by ``exp(-theta * d_i / D)``, solve the least-squares problem
-    with a rank-revealing factorization, and evaluate the fitted affine map
-    at ``y``.
+    For a query ``y``: take every usable library row (locality comes from
+    the kernel alone), compute the mean distance ``D`` over the usable rows,
+    reweight the design matrix ``(1 | X)`` and the response by
+    ``exp(-theta * d_i / D)``, solve the weighted least-squares problem, and
+    evaluate the fitted affine map at ``y``.  Well-conditioned fits are
+    solved through their normal equations; the rest through a rank-revealing
+    factorization, which gives the minimum-norm solution and sets
+    ``rank_deficient``.
 
     With ``theta = 0`` every weight is 1 and the solve reduces to ordinary
     least squares over the usable rows.  If all usable rows coincide with
     the query (``D = 0``) the output is flagged degenerate: the prediction
     is the mean target and the coordinate coefficients are zero.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    min_rows = library.e + 2
-    if len(library) < min_rows:
-        raise ValueError(
-            f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
-        )
-    pts, times = _query_points_times(queries)
-    design = np.empty((len(library), library.e + 1), dtype=np.float64)
-    design[:, 0] = 1.0
-    design[:, 1:] = library.points
-    outputs: list[SMapOutput] = []
-    for i, q in enumerate(pts):
-        dist = _distances_from(library, q)
-        a, y = design, library.targets
-        keep = _exclusion_mask(library, None if times is None else times[i], exclusion_radius)
-        if keep is not None:
-            dist, a, y = dist[keep], a[keep], y[keep]
-        d_mean = float(dist.mean())
-        if d_mean == 0.0:
-            coef = np.zeros(library.e + 1)
-            coef[0] = float(y.mean())
-            outputs.append(SMapOutput(coef[0], coef, degenerate=True))
-            continue
-        w = np.exp(-theta * dist / d_mean)
-        coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], y * w, rcond=None)
-        outputs.append(
-            SMapOutput(
-                prediction=coef[0] + float(np.dot(coef[1:], q)),
-                coefficients=coef,
-                rank_deficient=rank < library.e + 1,
-            )
-        )
+    outputs, solved = _smap_kernel(library, queries, theta, exclusion_radius)
+    n_lstsq = solved.size - int(solved.sum())
+    logger.debug("S-map: %d of %d queries took the lstsq fallback", n_lstsq, solved.size)
     return outputs
 
 

@@ -408,6 +408,65 @@ class TestAnalyze:
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning: 1 variance window(s) skipped (non-finite coefficients)"]
 
+    @pytest.fixture(scope="class")
+    def frame_csv(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("analyze_set")
+        cfg = root / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        run_cli(
+            "simulate", "--config", str(cfg), "--seed", "6", "--steps", "300",
+            "--control", "on", "--legitimacy", "random", "--out", str(root / "gen"),
+        )
+        return str(root / "gen" / "frame.csv")
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--trapped"], "grid_width=30"),
+            (["--trapped"], "jacobian_theta=0.5"),
+            (["--jacobian"], "trapped_min_duration=10"),
+            (["--jacobian"], "jacobian_window=40"),
+            (["--jacobian", "--trapped"], "legitimacy_threshold=0.5"),
+            (["--partition"], "warmup_ticks=80"),
+        ],
+    )
+    def test_set_key_no_analysis_reads_exit_one(self, frame_csv, tmp_path, capsys, flags, setting):
+        out = tmp_path / "analysis"
+        code = run_cli("analyze", "--data", frame_csv, *flags, "--set", setting, "--out", str(out))
+        assert code == 1
+        assert f"--set {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, setting",
+        [
+            ("--jacobian", "jacobian_theta=0.5"),
+            ("--partition", "jacobian_window=40"),
+            ("--trapped", "trapped_active_floor=5"),
+        ],
+    )
+    def test_set_key_read_takes_effect(self, frame_csv, tmp_path, flag, setting):
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--data", frame_csv, flag, "--set", setting, "--out", str(out)) == 0
+        key, value = setting.split("=")
+        config = json.loads((out / "manifest.json").read_text())["args"]["config"]
+        assert config[key] == float(value)
+
+    @pytest.mark.parametrize("flag", ["jacobian", "partition", "trapped"])
+    def test_set_keys_match_what_each_analysis_reads(self, frame_csv, tmp_path, flag):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        args = {"data": frame_csv, "jacobian": False, "partition": False, "trapped": False}
+        args[flag] = True
+        args["config"] = Recording(resolve())
+        cli._analyze(args, cli._Outputs(str(tmp_path / "analysis")))
+        assert read == set(cli._ANALYZE_KEYS[flag])
+
     def test_requires_a_flag(self, tmp_path):
         assert run_cli("analyze", "--data", "x.csv", "--out", str(tmp_path / "a")) == 1
 

@@ -1,12 +1,20 @@
+import logging
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmcontrol import edm
+from edmcontrol.analysis import ANALYSIS_EMBEDDING
+from edmcontrol.control import CONTROL_EMBEDDING
 from edmcontrol.edm import knn, pearson_rho, simplex_predict, smap_predict, smap_predictions
-from edmcontrol.timeseries import Embedding
+from edmcontrol.scenarios import standard_run
+from edmcontrol.timeseries import Embedding, build_generalized_embedding
 
 
 def embedding_from(points, targets, times=None):
@@ -56,6 +64,89 @@ def sorted_reference_smap(lib, q, theta, keep=None):
     a = np.hstack([np.ones((ids.size, 1)), lib.points[ids]])
     coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], targets * w, rcond=None)
     return coef, coef[0] + coef[1:] @ q, rank < lib.e + 1, False
+
+
+def assert_close(got, want, rtol=1e-9):
+    """Agreement to ``rtol`` relative to max(1, |want|), elementwise."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+def _points_times(queries):
+    if isinstance(queries, Embedding):
+        return queries.points, queries.times
+    return np.atleast_2d(np.asarray(queries, dtype=float)), None
+
+
+def loop_reference_smap(lib, queries, theta, exclusion_radius=-1):
+    """The per-query S-map loop that the blocked kernel replaced: per query,
+    distances, exclusion mask, kernel weights and one lstsq on ``(1 | X)`` in
+    stored row order.
+
+    Returns (coefficients, prediction, rank_deficient, degenerate) per query.
+    """
+    pts, times = _points_times(queries)
+    design = np.hstack([np.ones((len(lib), 1)), lib.points])
+    out = []
+    for i, q in enumerate(pts):
+        d = np.sqrt(((lib.points - q) ** 2).sum(axis=1))
+        a, y = design, lib.targets
+        if exclusion_radius >= 0:
+            keep = np.abs(lib.times - times[i]) > exclusion_radius
+            d, a, y = d[keep], a[keep], y[keep]
+        d_mean = float(d.mean())
+        if d_mean == 0.0:
+            coef = np.zeros(lib.e + 1)
+            coef[0] = float(y.mean())
+            out.append((coef, coef[0], False, True))
+            continue
+        w = np.exp(-theta * d / d_mean)
+        coef, _, rank, _ = np.linalg.lstsq(a * w[:, None], y * w, rcond=None)
+        out.append((coef, coef[0] + float(np.dot(coef[1:], q)), rank < lib.e + 1, False))
+    return out
+
+
+def reference_knn(lib, q, k, query_time=None, exclusion_radius=-1):
+    """The single-query knn that the blocked kernel replaced: a full lexsort
+    by (distance, row id)."""
+    d = np.sqrt(((lib.points - q) ** 2).sum(axis=1))
+    ids = np.arange(len(lib))
+    if exclusion_radius >= 0:
+        keep = np.abs(lib.times - int(query_time)) > exclusion_radius
+        d, ids = d[keep], ids[keep]
+    if k > ids.size:
+        warnings.warn(f"k={k} exceeds usable library size {ids.size}; returning all rows", stacklevel=2)
+        k = ids.size
+    order = np.lexsort((ids, d))[:k]
+    return ids[order], d[order]
+
+
+def reference_simplex(lib, queries, k=None, exclusion_radius=-1):
+    """The knn-based simplex loop that the blocked kernel replaced."""
+    pts, times = _points_times(queries)
+    k = lib.e + 1 if k is None else k
+    out = np.empty(len(pts))
+    for i, q in enumerate(pts):
+        ids, d = reference_knn(lib, q, k, None if times is None else times[i], exclusion_radius)
+        w = np.zeros_like(d)
+        if d[0] == 0.0:
+            w[d == 0.0] = 1.0
+        else:
+            w = np.exp(-d / d[0])
+        out[i] = np.dot(w, lib.targets[ids]) / w.sum()
+    return out
+
+
+def svd_oracle(points, targets, query, theta):
+    """Minimum-norm weighted least squares from an explicit SVD, singular
+    values below lstsq's default cutoff dropped: (coefficients, prediction)."""
+    d = np.sqrt(((points - query) ** 2).sum(axis=1))
+    w = np.exp(-theta * d / d.mean())
+    a = w[:, None] * np.hstack([np.ones((len(points), 1)), points])
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
+    coef = vt[keep].T @ ((u[:, keep].T @ (w * targets)) / s[keep])
+    return coef, coef[0] + coef[1:] @ query
 
 
 class TestKnn:
@@ -334,7 +425,7 @@ class TestSmapStoredOrderEquivalence:
         for radius in (0, 3, 25):
             self.assert_matches_reference(lib, lib, 4.0, exclusion_radius=radius)
 
-    def test_exclusion_equals_fit_on_kept_rows_bit_for_bit(self):
+    def test_exclusion_equals_fit_on_kept_rows(self):
         from edmcontrol.timeseries import build_delay_embedding
 
         rng = np.random.default_rng(71)
@@ -344,9 +435,251 @@ class TestSmapStoredOrderEquivalence:
             for i, out in enumerate(outs):
                 kept = emb.take(np.flatnonzero(np.abs(emb.times - emb.times[i]) > radius))
                 ref = smap_predict(kept, emb.points[i : i + 1], 2.5)[0]
-                assert out.prediction == ref.prediction
-                assert np.array_equal(out.coefficients, ref.coefficients)
+                assert_close(out.prediction, ref.prediction)
+                assert_close(out.coefficients, ref.coefficients)
                 assert (out.rank_deficient, out.degenerate) == (ref.rank_deficient, ref.degenerate)
+
+
+class TestBlockedKernelEquivalence:
+    """The blocked kernel against the per-query loops it replaced."""
+
+    @staticmethod
+    def assert_smap_matches_loop(lib, queries, theta, exclusion_radius=-1):
+        outs = smap_predict(lib, queries, theta, exclusion_radius=exclusion_radius)
+        refs = loop_reference_smap(lib, queries, theta, exclusion_radius)
+        assert len(outs) == len(refs)
+        for out, (coef, pred, rank_deficient, degenerate) in zip(outs, refs):
+            assert (out.rank_deficient, out.degenerate) == (rank_deficient, degenerate)
+            assert_close(np.append(out.coefficients, out.prediction), np.append(coef, pred))
+        return outs
+
+    @staticmethod
+    def assert_simplex_matches_loop(lib, queries, k=None, exclusion_radius=-1):
+        got = simplex_predict(lib, queries, k=k, exclusion_radius=exclusion_radius)
+        assert np.array_equal(got, reference_simplex(lib, queries, k, exclusion_radius))
+        pts, times = _points_times(queries)
+        for i, q in enumerate(pts):
+            qt = None if times is None else times[i]
+            nn = knn(lib, q, lib.e + 1 if k is None else k, query_time=qt, exclusion_radius=exclusion_radius)
+            ids, d = reference_knn(lib, q, lib.e + 1 if k is None else k, qt, exclusion_radius)
+            assert np.array_equal(nn.indices, ids) and np.array_equal(nn.distances, d)
+        return got
+
+    def test_smap_random_libraries(self):
+        rng = np.random.default_rng(73)
+        for i in range(42):
+            n = int(rng.integers(10, 200))
+            e = 1 + i % 7
+            theta = 0.0 if i % 6 == 0 else float(rng.uniform(0.0, 9.0))
+            lib = embedding_from(rng.normal(size=(n, e)), rng.normal(size=n))
+            self.assert_smap_matches_loop(lib, rng.normal(size=(5, e)), theta)
+
+    def test_smap_collinear_library(self):
+        rng = np.random.default_rng(79)
+        x = rng.normal(size=60)
+        lib = embedding_from(np.column_stack([x, 2 * x, -x]), rng.normal(size=60))
+        for theta in (0.0, 2.0, 9.0):
+            outs = self.assert_smap_matches_loop(lib, rng.normal(size=(4, 3)), theta)
+            assert all(o.rank_deficient for o in outs)
+
+    def test_smap_constant_column(self):
+        # the jail at capacity: one coordinate never moves
+        rng = np.random.default_rng(83)
+        quiet = rng.integers(50, 90, size=80).astype(float)
+        lib = embedding_from(np.column_stack([np.full(80, 60.0), quiet]), rng.normal(size=80))
+        queries = np.column_stack([np.full(6, 60.0), rng.integers(50, 90, size=6)])
+        for theta in (0.0, 2.0, 9.0):
+            outs = self.assert_smap_matches_loop(lib, queries, theta)
+            assert all(o.rank_deficient for o in outs)
+
+    def test_smap_ill_conditioned_library(self):
+        # full rank, but the scaled Gram condition number is far above the
+        # limit: every query must take the lstsq fallback
+        rng = np.random.default_rng(137)
+        x = rng.normal(size=200)
+        z = rng.normal(size=200)
+        pts = np.column_stack([x, x + 1e-6 * rng.normal(size=200), z])
+        lib = embedding_from(pts, x + z + 0.1 * rng.normal(size=200))
+        queries = rng.normal(size=(6, 3))
+        for theta in (0.0, 3.0):
+            outs = self.assert_smap_matches_loop(lib, queries, theta)
+            assert not any(o.rank_deficient for o in outs)
+            assert not edm._smap_kernel(lib, queries, theta, -1)[1].any()
+
+    def test_smap_far_from_origin(self):
+        # count-like coordinates far from the origin, with lags of one series
+        # strongly correlated: the intercept cancels large terms, which the
+        # refinement step of the Gram solve keeps accurate
+        rng = np.random.default_rng(139)
+        n = 1500
+        a = 3e4 + np.cumsum(rng.normal(size=n + 4))
+        b = 3e5 + np.cumsum(rng.normal(size=n + 4))
+        pts = np.column_stack([a[4:], a[2:-2], a[:-4], b[4:], b[2:-2], b[:-4]])
+        lib = embedding_from(pts, 0.3 * pts[:, 0] - 0.2 * pts[:, 3] + rng.normal(size=n))
+        queries = pts[rng.choice(n, 5)] + rng.normal(size=(5, 6))
+        self.assert_smap_matches_loop(lib, queries, 2.0)
+        assert edm._smap_kernel(lib, queries, 2.0, -1)[1].all()
+
+    def test_smap_coincident_library(self):
+        lib = embedding_from(np.full((8, 3), 0.25), np.arange(8.0))
+        outs = self.assert_smap_matches_loop(lib, np.full((3, 3), 0.25), 3.0)
+        assert all(o.degenerate for o in outs)
+
+    @pytest.mark.parametrize("radius", [0, 3, 25])
+    def test_smap_exclusion_radius(self, radius):
+        rng = np.random.default_rng(89)
+        lib = embedding_from(rng.normal(size=(150, 4)), rng.normal(size=150))
+        self.assert_smap_matches_loop(lib, lib, 4.0, exclusion_radius=radius)
+
+    @pytest.mark.parametrize("n_queries", [1, 10], ids=["one_query", "partial_last_block"])
+    def test_blocks(self, monkeypatch, n_queries):
+        rng = np.random.default_rng(97)
+        lib = embedding_from(rng.normal(size=(40, 3)), rng.normal(size=40))
+        # four queries per block: 40 rows x (e + 2) float64 values each
+        monkeypatch.setattr(edm, "_BLOCK_BYTES", 4 * 40 * 5 * 8)
+        assert edm._blocks(10, lib)[-1] == slice(8, 12)
+        queries = embedding_from(
+            rng.normal(size=(n_queries, 3)), np.zeros(n_queries), times=np.arange(n_queries) + 15
+        )
+        self.assert_smap_matches_loop(lib, queries, 2.0)
+        self.assert_smap_matches_loop(lib, queries, 2.0, exclusion_radius=4)
+        self.assert_simplex_matches_loop(lib, queries)
+        self.assert_simplex_matches_loop(lib, queries, exclusion_radius=4)
+
+    def test_library_smaller_than_a_block(self):
+        rng = np.random.default_rng(101)
+        lib = embedding_from(rng.normal(size=(6, 2)), rng.normal(size=6))
+        queries = rng.normal(size=(30, 2))
+        assert len(edm._blocks(30, lib)) == 1
+        self.assert_smap_matches_loop(lib, queries, 1.5)
+        self.assert_simplex_matches_loop(lib, queries, k=3)
+
+    def test_simplex_random_libraries(self):
+        rng = np.random.default_rng(103)
+        for i in range(42):
+            n = int(rng.integers(10, 200))
+            e = 1 + i % 7
+            lib = embedding_from(rng.normal(size=(n, e)), rng.normal(size=n))
+            k = None if i % 3 == 0 else int(rng.integers(1, 16))
+            self.assert_simplex_matches_loop(lib, rng.normal(size=(5, e)), k)
+
+    def test_simplex_ties_at_kth_distance(self):
+        # integer points on a small grid: many rows share the k-th distance
+        rng = np.random.default_rng(107)
+        lib = embedding_from(rng.integers(0, 4, size=(80, 2)), rng.normal(size=80))
+        queries = rng.integers(0, 4, size=(20, 2)) + 0.5 * rng.integers(0, 2, size=(20, 1))
+        for k in (1, 2, 3, 5, 8, 13):
+            self.assert_simplex_matches_loop(lib, queries, k)
+
+    def test_simplex_zero_distance_matches(self):
+        rng = np.random.default_rng(109)
+        pts = rng.normal(size=(30, 3))
+        lib = embedding_from(np.vstack([pts, pts[:10]]), rng.normal(size=40))
+        out = self.assert_simplex_matches_loop(lib, pts)
+        # a duplicated point averages its two targets; a single match returns its own
+        assert out[0] == (lib.targets[0] + lib.targets[30]) / 2
+        assert out[20] == lib.targets[20]
+
+    @pytest.mark.parametrize("radius", [0, 3, 25])
+    def test_simplex_exclusion_radius(self, radius):
+        rng = np.random.default_rng(113)
+        lib = embedding_from(rng.normal(size=(120, 3)), rng.normal(size=120))
+        self.assert_simplex_matches_loop(lib, lib, exclusion_radius=radius)
+
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_simplex_k_exceeds_library_warns(self, k):
+        rng = np.random.default_rng(127)
+        lib = embedding_from(rng.normal(size=(5, 2)), rng.normal(size=5))
+        queries = rng.normal(size=(3, 2))
+        with pytest.warns(UserWarning, match=f"k={k} exceeds usable library size 5"):
+            got = simplex_predict(lib, queries, k=k)
+        with pytest.warns(UserWarning, match=f"k={k} exceeds usable library size 5"):
+            want = reference_simplex(lib, queries, k=k)
+        assert np.array_equal(got, want)
+
+    def test_simplex_k_equal_to_usable_rows_is_silent(self):
+        rng = np.random.default_rng(131)
+        lib = embedding_from(rng.normal(size=(12, 2)), rng.normal(size=12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simplex_predict(lib, rng.normal(size=(3, 2)), k=12)
+            # the window around row 0 removes rows 0-2, leaving 9
+            got = simplex_predict(lib, lib.take(np.arange(1)), k=9, exclusion_radius=2)
+        assert np.array_equal(got, reference_simplex(lib, lib.take(np.arange(1)), k=9, exclusion_radius=2))
+        with pytest.warns(UserWarning, match="k=10 exceeds usable library size 9"):
+            simplex_predict(lib, lib.take(np.arange(1)), k=10, exclusion_radius=2)
+
+
+@pytest.fixture(scope="module")
+def small_frames():
+    from edmcontrol.config import resolve
+
+    cfg = dict(resolve())
+    cfg.update(
+        grid_width=20, grid_height=20, n_citizens=120, n_cops=12, vision=3.0,
+        legitimacy=0.7, jail_capacity=60, warmup_ticks=60, schedule_changes=5,
+    )
+    return {
+        control: standard_run(cfg, seed=0, steps=400, control=control, legitimacy_mode="random")
+        for control in (True, False)
+    }
+
+
+@pytest.mark.parametrize("control", [True, False], ids=["controlled", "uncontrolled"])
+def test_gram_solves_match_svd_oracle_on_frames(small_frames, control):
+    """Every solve the Gram path accepts agrees with the SVD minimum-norm oracle."""
+    frame = small_frames[control]
+    accepted = 0
+    emb = build_generalized_embedding(frame, CONTROL_EMBEDDING)
+    n_lib = int(0.6 * len(emb))
+    lib, queries = emb.take(np.arange(n_lib)), emb.take(np.arange(n_lib, len(emb)))
+    for theta in (0.0, 2.0, 9.0):
+        outs, solved = edm._smap_kernel(lib, queries, theta, -1)
+        for i in np.flatnonzero(solved):
+            coef, pred = svd_oracle(lib.points, lib.targets, queries.points[i], theta)
+            assert_close(np.append(outs[i].coefficients, outs[i].prediction), np.append(coef, pred))
+        accepted += int(solved.sum())
+    emb = build_generalized_embedding(frame, ANALYSIS_EMBEDDING)
+    radius = ANALYSIS_EMBEDDING.max_lag + ANALYSIS_EMBEDDING.tp
+    for theta in (0.1, 2.0):
+        outs, solved = edm._smap_kernel(emb, emb, theta, radius)
+        for i in np.flatnonzero(solved):
+            keep = np.abs(emb.times - emb.times[i]) > radius
+            coef, pred = svd_oracle(emb.points[keep], emb.targets[keep], emb.points[i], theta)
+            assert_close(np.append(outs[i].coefficients, outs[i].prediction), np.append(coef, pred))
+        accepted += int(solved.sum())
+    assert accepted > 0
+
+
+class TestLogging:
+    def test_library_is_silent_by_default(self):
+        code = (
+            "import numpy as np\n"
+            "from edmcontrol.edm import smap_predict\n"
+            "from edmcontrol.timeseries import Embedding\n"
+            "x = np.arange(20.0)\n"
+            "lib = Embedding(np.column_stack([x, 2 * x]), np.sin(x), np.arange(20))\n"
+            "assert smap_predict(lib, np.zeros((3, 2)), 1.0)[0].rank_deficient\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "" and proc.stderr == ""
+        handlers = logging.getLogger("edmcontrol").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
+    def test_debug_reports_fallback_count(self, caplog):
+        rng = np.random.default_rng(131)
+        x = rng.normal(size=30)
+        collinear = embedding_from(np.column_stack([x, 2 * x]), rng.normal(size=30))
+        plain = embedding_from(rng.normal(size=(30, 2)), rng.normal(size=30))
+        with caplog.at_level(logging.DEBUG, logger="edmcontrol"):
+            smap_predict(collinear, rng.normal(size=(3, 2)), 1.0)
+            smap_predict(plain, rng.normal(size=(4, 2)), 1.0)
+        messages = [r.getMessage() for r in caplog.records if r.name == "edmcontrol.edm"]
+        assert messages == [
+            "S-map: 3 of 3 queries took the lstsq fallback",
+            "S-map: 0 of 4 queries took the lstsq fallback",
+        ]
 
 
 class TestPearson:
