@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .timeseries import Frame
 
@@ -115,53 +116,54 @@ class TickObservation:
     propaganda: float
 
 
+@dataclass(frozen=True)
+class _Geometry:
+    """Tables for one ``(width, height, vision)``; none grows as cells squared."""
+
+    move_offsets: np.ndarray  # (n, 2) nonzero (dx, dy) within vision
+    sx: np.ndarray  # (width, width) squared torus distance between columns
+    sy: np.ndarray  # (height, height) squared torus distance between rows
+    reach: int  # largest integer squared distance within vision
+    disc_fft: np.ndarray  # rfft2 of the (height, width) vision-disc mask
+
+
+def _squared_torus_distances(n: int) -> np.ndarray:
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return (np.minimum(d, n - d) ** 2).astype(np.int32)
+
+
 @lru_cache(maxsize=8)
-def _geometry(width: int, height: int, vision: float):
-    """Movement offsets and per-row disc half-widths for one grid."""
+def _geometry(width: int, height: int, vision: float) -> _Geometry:
     r = int(math.floor(vision))
+    reach = int(math.floor(vision * vision))
     offs = [
         (dx, dy)
         for dx in range(-r, r + 1)
         for dy in range(-r, r + 1)
-        if 0 < dx * dx + dy * dy <= vision * vision
+        if 0 < dx * dx + dy * dy <= reach
     ]
-    move_offsets = np.array(offs, dtype=np.int64)
-    # widths[dy + r] = how far the disc extends in x at vertical offset dy
-    widths = np.array(
-        [int(math.floor(math.sqrt(vision * vision - dy * dy))) for dy in range(-r, r + 1)],
-        dtype=np.int64,
-    )
-    return move_offsets, widths
+    sx = _squared_torus_distances(width)
+    sy = _squared_torus_distances(height)
+    # mask[y, x] = 1 where cell (x, y) lies in the disc centred on (0, 0)
+    mask = (sy[0][:, None] + sx[0][None, :] <= reach).astype(np.float64)
+    return _Geometry(np.array(offs, dtype=np.int64), sx, sy, reach, scipy.fft.rfft2(mask))
 
 
 def _disc_sums(grids: np.ndarray, vision: float) -> np.ndarray:
-    """Torus sum over the vision disc centered at every cell of each grid.
+    """Torus sum over the vision disc centred at every cell of each grid.
 
-    ``grids`` holds one or more ``(height, width)`` grids in its last two
-    axes.  Row segments come from a wrapped cumulative sum, then rows are
-    combined with circular shifts; cost is O(cells * vision) instead of
-    O(cells * disc area).
+    ``grids`` holds one or more ``(height, width)`` grids of non-negative
+    integer counts in its last two axes.  The sum is the circular
+    convolution of each grid with the (symmetric) disc mask, done as one
+    real FFT product.  Rounding back to integers is exact: every true sum is
+    an integer no larger than the grid total (at most the agent count), and
+    the FFT's floating-point error on such sums is many orders of magnitude
+    below 0.5.
     """
     height, width = grids.shape[-2:]
-    r = int(math.floor(vision))
-    _, widths = _geometry(width, height, vision)
-    wrapped = np.concatenate([grids[..., width - r :], grids, grids[..., :r]], axis=-1)
-    cs = np.zeros(wrapped.shape[:-1] + (wrapped.shape[-1] + 1,), dtype=np.int64)
-    np.cumsum(wrapped, axis=-1, out=cs[..., 1:])
-    xs = np.arange(width) + r
-    # vertically padded row segments per distinct half-width; row y of the
-    # disc sum adds segment row (y + dy) mod height as a plain slice
-    pads: dict[int, np.ndarray] = {}
-    out = np.zeros(grids.shape, dtype=np.int64)
-    for dy in range(-r, r + 1):
-        w = int(widths[dy + r])
-        padded = pads.get(w)
-        if padded is None:
-            seg = cs[..., xs + w + 1] - cs[..., xs - w]
-            padded = np.concatenate([seg[..., height - r :, :], seg, seg[..., :r, :]], axis=-2)
-            pads[w] = padded
-        out += padded[..., r + dy : r + dy + height, :]
-    return out
+    kernel = _geometry(width, height, vision).disc_fft
+    spectrum = scipy.fft.rfft2(grids) * kernel
+    return np.rint(scipy.fft.irfft2(spectrum, s=(height, width))).astype(np.int64)
 
 
 @dataclass
@@ -249,14 +251,6 @@ def citizen_behavior(hardship, risk_aversion, arrest_prob, gov: GovState):
     return np.where(net > gov.propaganda, STATE_ACTIVE, STATE_QUIET).astype(np.int8)
 
 
-def _torus_within(ax, ay, x, y, width, height, vision) -> np.ndarray:
-    dx = np.abs(ax - x)
-    dy = np.abs(ay - y)
-    dx = np.minimum(dx, width - dx)
-    dy = np.minimum(dy, height - dy)
-    return dx * dx + dy * dy <= vision * vision
-
-
 def _neighborhood_counts(world: WorldState) -> np.ndarray:
     """Cop and Active counts seen from every cell (vision disc or single cell).
 
@@ -289,26 +283,27 @@ def _enforce(world: WorldState) -> list[int]:
     active_ids = np.flatnonzero(state == STATE_ACTIVE)
     if active_ids.size == 0 or p.n_cops == 0:
         return []
-    within = _torus_within(
-        world.citizen_x[active_ids][None, :],
-        world.citizen_y[active_ids][None, :],
-        world.cop_x[:, None],
-        world.cop_y[:, None],
-        p.grid_width,
-        p.grid_height,
-        p.vision,
+    geo = _geometry(p.grid_width, p.grid_height, p.vision)
+    # within[c, i]: cop c sees Active citizen active_ids[i]
+    within = (
+        geo.sx[world.cop_x][:, world.citizen_x[active_ids]]
+        + geo.sy[world.cop_y][:, world.citizen_y[active_ids]]
+        <= geo.reach
     )
-    if not within.any():
+    sees = within.any(axis=1)
+    if not sees.any():
         return []
     room = active_ids.size
     if p.jail_capacity is not None:
         room = min(room, p.jail_capacity - int((state == STATE_JAILED).sum()))
+    order = world.rng.permutation(p.n_cops)
     alive = np.ones(active_ids.size, dtype=bool)
     arrested: list[int] = []
-    for c in world.rng.permutation(p.n_cops):
+    # a cop that sees no Active now sees none later, so it draws nothing
+    for c in order[sees[order]]:
         if len(arrested) >= room:
             break
-        cand = np.flatnonzero(within[c] & alive)
+        cand = (within[c] & alive if arrested else within[c]).nonzero()[0]
         if cand.size == 0:
             continue
         pick = int(cand[world.rng.integers(cand.size)])
@@ -328,7 +323,7 @@ def step(world: WorldState) -> TickObservation:
     post-move snapshot; cop enforcement in shuffled order.
     """
     p = world.params
-    move_offsets, _ = _geometry(p.grid_width, p.grid_height, p.vision)
+    move_offsets = _geometry(p.grid_width, p.grid_height, p.vision).move_offsets
     world.t += 1
     state = world.citizen_state
 

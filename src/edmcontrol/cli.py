@@ -25,9 +25,10 @@ from . import __version__
 from .analysis import (
     detect_trapped_state,
     interaction_coefficients,
+    outburst_onsets,
     partition_variance,
 )
-from .config import CONFIG_ENV_VAR, coerce, resolve
+from .config import _OWNERS, CONFIG_ENV_VAR, coerce, resolve
 from .edm import pearson_rho, smap_predict, smap_predictions
 from .evaluation import (
     THETA_GRID,
@@ -145,8 +146,25 @@ def _simulate_one(args: dict, out: _Outputs) -> None:
     out.write("frame.csv", lambda path: write_frame_csv(frame, path))
 
 
+# Config keys only the analyses read; the commands that run the world reject
+# them on --set rather than silently ignore them.
+_ANALYSIS_KEYS = frozenset(
+    key
+    for key, (owner, _) in _OWNERS.items()
+    if owner in (detect_trapped_state, outburst_onsets, interaction_coefficients, partition_variance)
+)
+
+
+def _run_overrides(ns, command: str) -> dict:
+    overrides = _config_overrides(ns)
+    for key in overrides:
+        if key in _ANALYSIS_KEYS:
+            raise UsageError(f"{command} does not read --set {key} (an analysis key); drop it")
+    return overrides
+
+
 def _cmd_simulate(ns) -> int:
-    cfg = resolve(ns.config, _config_overrides(ns))
+    cfg = resolve(ns.config, _run_overrides(ns, "simulate"))
     seeds = _parse_seeds(ns.seed, ns.seeds)
     base = {
         "steps": ns.steps,
@@ -406,7 +424,7 @@ def _cmd_export_comparison(ns) -> int:
         "legitimacy": ns.legitimacy,
         "train": list(_parse_range(ns.train)),
         "test": list(_parse_range(ns.test)),
-        "config": resolve(ns.config, _config_overrides(ns)),
+        "config": resolve(ns.config, _run_overrides(ns, "export-comparison")),
     }
     _run_command("export-comparison", args, ns.out)
     return EXIT_OK

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmcontrol import abm
 from edmcontrol.abm import (
     STATE_ACTIVE,
     STATE_JAILED,
@@ -14,15 +15,84 @@ from edmcontrol.abm import (
     GovState,
     WorldParams,
     arrest_probability,
+    _disc_sums,
     _enforce,
     _neighborhood_counts,
-    _torus_within,
     citizen_behavior,
     grievance,
     init_world,
     run_scenario,
     step,
 )
+
+# Test-only references: a fresh torus-distance matrix per call, disc sums from
+# row segments, and enforcement that loops over every cop.  The step's cached
+# tables and FFT disc sums must reproduce them exactly.
+
+
+def _torus_within(ax, ay, x, y, width, height, vision) -> np.ndarray:
+    dx = np.abs(ax - x)
+    dy = np.abs(ay - y)
+    dx = np.minimum(dx, width - dx)
+    dy = np.minimum(dy, height - dy)
+    return dx * dx + dy * dy <= vision * vision
+
+
+def row_segment_disc_sums(grids, vision):
+    """Disc sums from wrapped row cumulative sums combined by circular shifts."""
+    height, width = grids.shape[-2:]
+    r = int(math.floor(vision))
+    widths = [int(math.floor(math.sqrt(vision * vision - dy * dy))) for dy in range(-r, r + 1)]
+    wrapped = np.concatenate([grids[..., width - r :], grids, grids[..., :r]], axis=-1)
+    cs = np.zeros(wrapped.shape[:-1] + (wrapped.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(wrapped, axis=-1, out=cs[..., 1:])
+    xs = np.arange(width) + r
+    out = np.zeros(grids.shape, dtype=np.int64)
+    for dy in range(-r, r + 1):
+        w = widths[dy + r]
+        seg = cs[..., xs + w + 1] - cs[..., xs - w]
+        padded = np.concatenate([seg[..., height - r :, :], seg, seg[..., :r, :]], axis=-2)
+        out += padded[..., r + dy : r + dy + height, :]
+    return out
+
+
+def reference_enforce(world):
+    """Enforcement with a fresh torus-distance matrix and a loop over every cop."""
+    p = world.params
+    state = world.citizen_state
+    active_ids = np.flatnonzero(state == STATE_ACTIVE)
+    if active_ids.size == 0 or p.n_cops == 0:
+        return []
+    within = _torus_within(
+        world.citizen_x[active_ids][None, :],
+        world.citizen_y[active_ids][None, :],
+        world.cop_x[:, None],
+        world.cop_y[:, None],
+        p.grid_width,
+        p.grid_height,
+        p.vision,
+    )
+    if not within.any():
+        return []
+    room = active_ids.size
+    if p.jail_capacity is not None:
+        room = min(room, p.jail_capacity - int((state == STATE_JAILED).sum()))
+    alive = np.ones(active_ids.size, dtype=bool)
+    arrested = []
+    for c in world.rng.permutation(p.n_cops):
+        if len(arrested) >= room:
+            break
+        cand = np.flatnonzero(within[c] & alive)
+        if cand.size == 0:
+            continue
+        pick = int(cand[world.rng.integers(cand.size)])
+        cid = int(active_ids[pick])
+        state[cid] = STATE_JAILED
+        world.jail_remaining[cid] = int(world.rng.integers(1, p.max_jail_term + 1))
+        alive[pick] = False
+        arrested.append(cid)
+    return arrested
+
 
 SMALL = WorldParams(
     grid_width=20,
@@ -282,6 +352,110 @@ class TestNeighborhoodCounts:
             cops, acts = self.brute_force(w)
             assert np.array_equal(cop_near, cops)
             assert np.array_equal(act_near, acts)
+
+
+# (width, height, vision): the paper grid, the small test grid, a
+# non-square grid with fractional vision, and two grids where the disc
+# diameter 2r + 1 equals the shorter side.
+EQUIVALENCE_GEOMETRIES = [(40, 40, 7.0), (20, 20, 3.0), (17, 11, 2.5), (9, 13, 4.0), (14, 7, 3.0)]
+
+
+class TestDiscSumsEquivalence:
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_random_stacks_match_row_segments(self, width, height, vision):
+        rng = np.random.default_rng(width * height)
+        for n_agents in (1, width * height // 3, 1200):
+            cells = rng.integers(0, width * height, size=(2, n_agents))
+            stack = np.stack([np.bincount(c, minlength=width * height) for c in cells])
+            stack = stack.reshape(2, height, width)
+            assert np.array_equal(_disc_sums(stack, vision), row_segment_disc_sums(stack, vision))
+
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_every_agent_on_one_cell(self, width, height, vision):
+        for y, x in [(0, 0), (height // 2, width // 2), (height - 1, width - 1)]:
+            stack = np.zeros((2, height, width), dtype=np.int64)
+            stack[0, y, x] = 1200
+            stack[1, height - 1 - y, x] = 1120
+            sums = _disc_sums(stack, vision)
+            assert sums.dtype == np.int64
+            assert np.array_equal(sums, row_segment_disc_sums(stack, vision))
+
+
+class TestEnforceEquivalence:
+    @staticmethod
+    def random_world(params, seed, active_share):
+        w = init_world(params, seed=seed)
+        rng = np.random.default_rng(seed)
+        n = params.n_citizens
+        w.citizen_x[:] = rng.integers(0, params.grid_width, n)
+        w.citizen_y[:] = rng.integers(0, params.grid_height, n)
+        w.cop_x[:] = rng.integers(0, params.grid_width, params.n_cops)
+        w.cop_y[:] = rng.integers(0, params.grid_height, params.n_cops)
+        u = rng.random(n)
+        w.citizen_state[:] = np.where(
+            u < active_share, STATE_ACTIVE, np.where(u < 0.5, STATE_JAILED, STATE_QUIET)
+        )
+        w.jail_remaining[w.citizen_state == STATE_JAILED] = 5
+        return w
+
+    def assert_same_outcome(self, world):
+        fast, ref = copy.deepcopy(world), copy.deepcopy(world)
+        arrested = _enforce(fast)
+        assert arrested == reference_enforce(ref)
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert np.array_equal(fast.citizen_state, ref.citizen_state)
+        assert np.array_equal(fast.jail_remaining, ref.jail_remaining)
+        return arrested
+
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_random_worlds_match_reference(self, width, height, vision):
+        n_citizens = width * height // 2
+        arrests = 0
+        for capacity in (None, n_citizens // 2):
+            p = WorldParams(
+                grid_width=width,
+                grid_height=height,
+                n_citizens=n_citizens,
+                n_cops=width * height // 10,
+                vision=vision,
+                jail_capacity=capacity,
+            )
+            for seed in range(6):
+                for share in (0.002, 0.05, 0.3):
+                    arrests += len(self.assert_same_outcome(self.random_world(p, seed, share)))
+        assert arrests > 0
+
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_small_jail_capacity_matches_reference(self, width, height, vision):
+        p = WorldParams(
+            grid_width=width,
+            grid_height=height,
+            n_citizens=width * height // 2,
+            n_cops=width * height // 10,
+            vision=vision,
+        )
+        for seed in range(6):
+            world = self.random_world(p, seed, 0.3)
+            jailed = int((world.citizen_state == STATE_JAILED).sum())
+            # capacity 1 with an empty jail: exactly one arrest
+            empty = copy.deepcopy(world)
+            empty.params = dataclasses.replace(p, jail_capacity=1)
+            empty.citizen_state[empty.citizen_state == STATE_JAILED] = STATE_QUIET
+            assert len(self.assert_same_outcome(empty)) == 1
+            # no spare place: the cop order is drawn, nobody is arrested
+            full = copy.deepcopy(world)
+            full.params = dataclasses.replace(p, jail_capacity=jailed)
+            assert self.assert_same_outcome(full) == []
+
+    def test_whole_runs_match_reference_paths(self, monkeypatch):
+        fast = [run_scenario(SMALL, 300, seed=s, legitimacy=0.6) for s in range(3)]
+        monkeypatch.setattr(abm, "_enforce", reference_enforce)
+        monkeypatch.setattr(abm, "_disc_sums", row_segment_disc_sums)
+        for s, frame in enumerate(fast):
+            ref = run_scenario(SMALL, 300, seed=s, legitimacy=0.6)
+            assert ref.column("jailed").max() > 0
+            for col in frame.columns:
+                assert np.array_equal(frame.columns[col], ref.columns[col]), (s, col)
 
 
 class TestStep:

@@ -167,6 +167,39 @@ class TestSimulate:
     def test_usage_error_exit_one(self, tmp_path):
         assert run_cli("simulate", "--seeds", "9:3", "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize(
+        "setting, seeds",
+        [
+            ("jacobian_theta=0.5", ["--seed", "0"]),
+            ("trapped_min_duration=3", ["--seed", "0"]),
+            ("outburst_floor=5", ["--seed", "0"]),
+            ("jacobian_window=40", ["--seeds", "0:2"]),
+            ("legitimacy_threshold=0.5", ["--seeds", "0:2"]),
+        ],
+    )
+    def test_set_analysis_key_exit_one(self, small_config, tmp_path, capsys, setting, seeds):
+        out = tmp_path / "run"
+        code = run_cli(
+            "simulate", "--config", small_config, *seeds, "--steps", "70",
+            "--set", setting, "--out", str(out),
+        )
+        assert code == 1
+        assert f"--set {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analysis_keys_are_the_keys_a_run_never_reads(self, small_config, tmp_path):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        args = {"seed": 0, "steps": 80, "control": True, "legitimacy": "random"}
+        args["config"] = Recording(resolve(small_config))
+        cli._simulate_one(args, cli._Outputs(str(tmp_path / "run")))
+        assert read == set(DEFAULTS) - cli._ANALYSIS_KEYS
+
     def test_failing_writer_leaves_no_output(self, small_config, tmp_path, monkeypatch):
         def write_part_then_fail(frame, path):
             with open(path, "w") as fh:
@@ -507,3 +540,14 @@ class TestExportComparison:
         assert len(test) - 1 == 300 - 160 - 5  # ticks 161..295
         assert (a / "train.csv").read_bytes() == (b / "train.csv").read_bytes()
         assert (a / "test.csv").read_bytes() == (b / "test.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting", ["jacobian_theta=0.5", "trapped_active_floor=5"])
+    def test_set_analysis_key_exit_one(self, small_config, tmp_path, capsys, setting):
+        out = tmp_path / "export"
+        code = run_cli(
+            "export-comparison", "--config", small_config, "--steps", "300",
+            "--train", "1:150", "--test", "161:300", "--set", setting, "--out", str(out),
+        )
+        assert code == 1
+        assert f"--set {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from edmcontrol.config import resolve
 from edmcontrol.scenarios import legitimacy_profile, standard_run
+from edmcontrol.timeseries import write_frame_csv
 
 SMALL = {
     "grid_width": 20,
@@ -72,3 +75,23 @@ class TestStandardRun:
         fc = f.column("forecast_active")
         assert np.all(np.isnan(fc[: cfg["warmup_ticks"] - 1]))
         assert np.isfinite(fc[cfg["warmup_ticks"] :]).all()
+
+
+# SHA-256 of frame.csv from paper-scale uncontrolled runs: the default config
+# with warmup_ticks = 1500, 3000 ticks, random legitimacy.  They pin the
+# simulator at full scale byte for byte, where the small golden frames
+# cannot reach (vision 7, 80 cops, a jail that fills).
+PAPER_SCALE_FRAMES = {
+    0: "a57edf9d82c1d090530df04155df687b6a5090d8c83070679a56957bb520c179",
+    1: "458b8767c26d9d7bb10c7c9bb7f3400c5fcff7b68ae4d9ee59039cab182acaf6",
+    2: "2e0dc93e2c330624bdd51a110f61af027814ea9933a5f0ed7cf2277509bc513f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_SCALE_FRAMES))
+def test_paper_scale_uncontrolled_frame_digest(tmp_path, seed):
+    cfg = resolve(overrides={"warmup_ticks": 1500})
+    frame = standard_run(cfg, seed, 3000, control=False, legitimacy_mode="random")
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_SCALE_FRAMES[seed]
