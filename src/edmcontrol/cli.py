@@ -22,13 +22,14 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
+from .abm import WorldParams
 from .analysis import (
     detect_trapped_state,
     interaction_coefficients,
-    outburst_onsets,
     partition_variance,
 )
 from .config import _OWNERS, CONFIG_ENV_VAR, coerce, resolve
+from .control import ControllerParams, LoopConfig, make_legitimacy_schedule
 from .edm import pearson_rho, smap_predict, smap_predictions
 from .evaluation import (
     THETA_GRID,
@@ -146,25 +147,41 @@ def _simulate_one(args: dict, out: _Outputs) -> None:
     out.write("frame.csv", lambda path: write_frame_csv(frame, path))
 
 
-# Config keys only the analyses read; the commands that run the world reject
-# them on --set rather than silently ignore them.
-_ANALYSIS_KEYS = frozenset(
-    key
-    for key, (owner, _) in _OWNERS.items()
-    if owner in (detect_trapped_state, outburst_onsets, interaction_coefficients, partition_variance)
-)
+def _keys_of(*owners) -> frozenset:
+    return frozenset(key for key, (owner, _) in _OWNERS.items() if owner in owners)
 
 
-def _run_overrides(ns, command: str) -> dict:
+def _run_keys(control: bool, legitimacy: str) -> frozenset:
+    """Config keys a standard run reads.
+
+    The world's always; the schedule's unless legitimacy is constant; the
+    warm-up that the ``random`` schedule waits out; the controller's when one
+    runs.  The analyses' keys never.
+    """
+    keys = _keys_of(WorldParams)
+    if legitimacy != "constant":
+        keys |= _keys_of(make_legitimacy_schedule)
+    if legitimacy == "random":
+        keys |= {"warmup_ticks"}
+    if control:
+        keys |= _keys_of(ControllerParams, LoopConfig)
+    return keys
+
+
+def _run_overrides(ns, run: str, control: bool, legitimacy: str) -> dict:
+    """``--set`` overrides of a command that runs the world; a key the run
+    does not read is an error rather than silently ignored."""
     overrides = _config_overrides(ns)
+    read = _run_keys(control, legitimacy)
     for key in overrides:
-        if key in _ANALYSIS_KEYS:
-            raise UsageError(f"{command} does not read --set {key} (an analysis key); drop it")
+        if key not in read:
+            raise UsageError(f"{run} does not read --set {key}; drop it")
     return overrides
 
 
 def _cmd_simulate(ns) -> int:
-    cfg = resolve(ns.config, _run_overrides(ns, "simulate"))
+    run = f"simulate --control {ns.control} --legitimacy {ns.legitimacy}"
+    cfg = resolve(ns.config, _run_overrides(ns, run, ns.control == "on", ns.legitimacy))
     seeds = _parse_seeds(ns.seed, ns.seeds)
     base = {
         "steps": ns.steps,
@@ -247,6 +264,10 @@ def _cmd_scan(ns) -> int:
         raise UsageError(f"--mode {ns.mode} requires --e")
 
     flags = {**_SCAN_DEFAULTS, **{k: v for k, v in vars(ns).items() if v is not None}}
+    # an empty grid is refused before anything is simulated or written
+    for name in ("e_max", "tp_max"):
+        if name in used and flags[name] < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {flags[name]}")
     args = {
         "mode": ns.mode,
         "data": ns.data,
@@ -255,7 +276,8 @@ def _cmd_scan(ns) -> int:
         **{name: flags[name] for name in used},
     }
     if ns.data is None:
-        args["config"] = resolve(ns.config, _config_overrides(ns))
+        overrides = _run_overrides(ns, "scan --generate", control=False, legitimacy="constant")
+        args["config"] = resolve(ns.config, overrides)
         args["seed"] = flags["seed"]
         args["steps"] = flags["steps"]
     _run_command("scan", args, ns.out)
@@ -418,13 +440,15 @@ def _export_comparison(args: dict, out: _Outputs) -> None:
 
 
 def _cmd_export_comparison(ns) -> int:
+    run = f"export-comparison --legitimacy {ns.legitimacy}"
+    overrides = _run_overrides(ns, run, control=False, legitimacy=ns.legitimacy)
     args = {
         "seed": ns.seed,
         "steps": ns.steps,
         "legitimacy": ns.legitimacy,
         "train": list(_parse_range(ns.train)),
         "test": list(_parse_range(ns.test)),
-        "config": resolve(ns.config, _run_overrides(ns, "export-comparison")),
+        "config": resolve(ns.config, overrides),
     }
     _run_command("export-comparison", args, ns.out)
     return EXIT_OK

@@ -166,13 +166,17 @@ def _neighbors(library: Embedding, pts, times, k: int, exclusion_radius: int):
     ]
     ids = np.concatenate([p[0] for p in parts])
     dist = np.concatenate([p[1] for p in parts])
-    usable = int((ids >= 0).sum(axis=1).min())
+    _warn_if_short(k, int((ids >= 0).sum(axis=1).min()), stacklevel=4)
+    return ids, dist
+
+
+def _warn_if_short(k: int, usable: int, stacklevel: int) -> None:
+    """Warn when ``k`` exceeds the fewest library rows a query may use."""
     if k > usable:
         warnings.warn(
             f"k={k} exceeds usable library size {usable}; returning all rows",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
-    return ids, dist
 
 
 def knn(

@@ -8,11 +8,21 @@ Rows are aligned across scan points so the skills are comparable.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edm import SkillReport, pearson_rho, simplex_predict, smap_predict, smap_predictions
+from .edm import (
+    SkillReport,
+    _blocks,
+    _nearest,
+    _simplex_weights,
+    _warn_if_short,
+    pearson_rho,
+    smap_predict,
+    smap_predictions,
+)
 from .timeseries import (
     Embedding,
     EmbeddingSpec,
@@ -37,6 +47,8 @@ __all__ = [
 THETA_GRID = (0.0, 0.1, 0.3, 1.0, 2.0, 3.0, 5.0, 9.0)
 
 DEFAULT_SPLIT = 0.6
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,18 +99,67 @@ def _aligned_simplex_scan(series, points, split: float, tau: int) -> tuple[Skill
 
     Only origins valid at the largest E and the largest Tp scanned are kept,
     under one chronological library/prediction split, so the skills are
-    comparable across points.
+    comparable across points.  On a finite series every point therefore
+    splits the same rows, and one pass over them serves the whole grid.
+    Non-finite values make each point drop its own rows, so then each point
+    gets a pass over the rows it keeps.
     """
     x = np.asarray(series, dtype=np.float64)
-    first = (max((e for e, _ in points), default=1) - 1) * tau
-    last = x.size - 1 - max((tp for _, tp in points), default=0)
-    reports = []
-    for e, tp in points:
-        emb = build_delay_embedding(x, e, tau, tp)
+    first = (max(e for e, _ in points) - 1) * tau
+    last = x.size - 1 - max(tp for _, tp in points)
+    per_point = not np.isfinite(x).all()
+    groups = [[p] for p in points] if per_point else [points]
+    skills: dict = {}
+    for group in groups:
+        emb = build_delay_embedding(x, max(e for e, _ in group), tau, max(tp for _, tp in group))
         emb = emb.take(np.flatnonzero((emb.times >= first) & (emb.times <= last)))
         lib, pred = _chronological_split(emb, split)
-        reports.append(pearson_rho(simplex_predict(lib, pred), pred.targets))
-    return tuple(reports)
+        skills.update(_simplex_skills(x, lib, pred, group))
+    logger.debug(
+        "simplex scan: %d points, %d neighbour searches, per-point path: %s",
+        len(points),
+        sum(len({e for e, _ in group}) for group in groups),
+        per_point,
+    )
+    return tuple(skills[p] for p in points)
+
+
+def _simplex_skills(x: np.ndarray, lib: Embedding, pred: Embedding, points) -> dict:
+    """Simplex skill of ``pred`` against ``lib`` at each ``(E, Tp)`` point.
+
+    The rows hold the delay coordinates up to the largest E of ``points``,
+    most recent first, and a point of dimension E uses the first E of them.
+    Per query block, the squared coordinate differences are added one
+    coordinate at a time in that order, the order in which
+    :func:`edm._block_distances` sums them, so the distances at each E are
+    the ones ``simplex_predict`` computes on E-dimensional rows.  Each E gets
+    one neighbour search (k = E + 1); every Tp at that E reuses its
+    neighbours and weights, and only the targets ``x[t + Tp]`` change.
+    """
+    tps: dict[int, list[int]] = {}
+    for e, tp in points:
+        tps.setdefault(e, []).append(tp)
+    coords = np.ascontiguousarray(lib.points.T)
+    forecasts = {p: np.empty(len(pred)) for p in points}
+    for b in _blocks(len(pred), lib):
+        q = pred.points[b]
+        sq = np.zeros((len(q), len(lib)))
+        for e in range(1, max(tps) + 1):
+            diff = coords[e - 1] - q[:, e - 1, None]
+            sq += diff * diff
+            if e not in tps:
+                continue
+            ids, dist = _nearest(np.sqrt(sq), None, e + 1)
+            w = _simplex_weights(dist)
+            for tp in tps[e]:
+                y = x[lib.times[ids] + tp]
+                forecasts[e, tp][b] = (w[:, None, :] @ y[:, :, None])[:, 0, 0] / w.sum(axis=1)
+    skills = {}
+    for (e, tp), forecast in forecasts.items():
+        # no exclusion radius: every query may use every library row
+        _warn_if_short(e + 1, len(lib), stacklevel=5)
+        skills[e, tp] = pearson_rho(forecast, x[pred.times + tp])
+    return skills
 
 
 def embed_dimension_scan(
@@ -114,6 +175,8 @@ def embed_dimension_scan(
     chronological library/prediction split, so the resulting skill curve is
     comparable across dimensions.
     """
+    if e_max < 1:
+        raise ValueError(f"e_max must be >= 1, got {e_max}")
     return ScanResult(
         axis=np.arange(1, e_max + 1),
         reports=_aligned_simplex_scan(series, [(e, tp) for e in range(1, e_max + 1)], split, tau),
@@ -129,6 +192,8 @@ def tp_scan(
     tau: int = 1,
 ) -> ScanResult:
     """Simplex skill as a function of forecast interval Tp = 1..tp_max at fixed E."""
+    if tp_max < 1:
+        raise ValueError(f"tp_max must be >= 1, got {tp_max}")
     return ScanResult(
         axis=np.arange(1, tp_max + 1),
         reports=_aligned_simplex_scan(series, [(e, tp) for tp in range(1, tp_max + 1)], split, tau),

@@ -8,7 +8,7 @@ import pytest
 from edmcontrol import cli
 from edmcontrol.analysis import JacobianSeries
 from edmcontrol.cli import main
-from edmcontrol.config import CONFIG_ENV_VAR, DEFAULTS, load_config, resolve
+from edmcontrol.config import _OWNERS, CONFIG_ENV_VAR, DEFAULTS, load_config, resolve
 from edmcontrol.timeseries import read_frame_csv
 
 SMALL_CFG = """
@@ -188,6 +188,8 @@ class TestSimulate:
         assert not out.exists()
 
     def test_analysis_keys_are_the_keys_a_run_never_reads(self, small_config, tmp_path):
+        # every command that runs the world rejects on --set exactly the keys
+        # its run does not read, and the analyses' keys are never read
         read = set()
 
         class Recording(dict):
@@ -195,10 +197,70 @@ class TestSimulate:
                 read.add(key)
                 return super().__getitem__(key)
 
-        args = {"seed": 0, "steps": 80, "control": True, "legitimacy": "random"}
-        args["config"] = Recording(resolve(small_config))
-        cli._simulate_one(args, cli._Outputs(str(tmp_path / "run")))
-        assert read == set(DEFAULTS) - cli._ANALYSIS_KEYS
+        def keys_read(run, args):
+            read.clear()
+            args["config"] = Recording(resolve(small_config))
+            run(args, cli._Outputs(str(tmp_path / "run")))
+            return set(read)
+
+        analysis_keys = {
+            key for key, (owner, _) in _OWNERS.items() if owner.__module__ == "edmcontrol.analysis"
+        }
+        assert cli._run_keys(True, "random") == set(DEFAULTS) - analysis_keys
+        for legitimacy in ("constant", "random", "random-full"):
+            for control in (True, False):
+                args = {"seed": 0, "steps": 80, "control": control, "legitimacy": legitimacy}
+                want = cli._run_keys(control, legitimacy)
+                assert keys_read(cli._simulate_one, args) == want, args
+            args = {
+                "seed": 0, "steps": 300, "legitimacy": legitimacy,
+                "train": [1, 150], "test": [161, 300],
+            }
+            assert keys_read(cli._export_comparison, args) == cli._run_keys(False, legitimacy), args
+        args = {
+            "mode": "E", "data": None, "column": "active", "split": 0.6,
+            "e_max": 2, "tp": 1, "seed": 0, "steps": 300,
+        }
+        assert keys_read(cli._scan, args) == cli._run_keys(False, "constant")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("simulate", "--steps", "70"), "theta"),
+            (("simulate", "--steps", "70", "--legitimacy", "random"), "p_max"),
+            (("simulate", "--steps", "70", "--control", "on"), "schedule_changes"),
+            (("simulate", "--steps", "70", "--legitimacy", "random-full"), "warmup_ticks"),
+            (("export-comparison", "--steps", "300", "--train", "1:150", "--test", "161:300"),
+             "theta"),
+            (("scan", "--mode", "E", "--generate", "--steps", "300", "--e-max", "3"), "theta"),
+            (("scan", "--mode", "Tp", "--generate", "--steps", "300", "--e", "2"),
+             "jacobian_theta"),
+            (("scan", "--mode", "theta", "--generate", "--steps", "300", "--e", "2"),
+             "legitimacy_low"),
+        ],
+    )
+    def test_set_key_the_run_does_not_read_exit_one(
+        self, small_config, tmp_path, capsys, argv, key
+    ):
+        out = tmp_path / "run"
+        code = run_cli(
+            *argv, "--config", small_config, "--set", f"{key}={DEFAULTS[key]}", "--out", str(out)
+        )
+        assert code == 1
+        assert f"--set {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_set_keys_the_run_reads_take_effect(self, small_config, tmp_path):
+        frames = {}
+        settings = ("--set", "schedule_changes=3", "--set", "warmup_ticks=70")
+        for name, flags in (("base", ()), ("set", settings)):
+            out = tmp_path / name
+            assert run_cli(
+                "simulate", "--config", small_config, "--steps", "120", "--legitimacy", "random",
+                *flags, "--out", str(out),
+            ) == 0
+            frames[name] = read_frame_csv(out / "frame.csv").column("legitimacy")
+        assert not np.array_equal(frames["base"], frames["set"])
 
     def test_failing_writer_leaves_no_output(self, small_config, tmp_path, monkeypatch):
         def write_part_then_fail(frame, path):
@@ -239,7 +301,46 @@ class TestGoldenFrames:
             assert frame_digest(out) == GOLDEN_UNLIMITED, name
 
 
+# SHA-256 of scan.csv from `scan --generate --config SMALL_CFG --steps 400` with
+# `--mode E --e-max 6 --tp 2` and `--mode Tp --e 3 --tp-max 6`; they pin the
+# skill scans on an integer (Active count) series byte for byte.
+GOLDEN_SCANS = {
+    ("E", 0): "fda2480cdbf466917e1de6688a9126d5b4bcced466167ed5de002b3be94fc90f",
+    ("E", 1): "d69c571b34d797c62057f7c41c35f446b8ee08e7b42c526f62eaf1870d345c20",
+    ("E", 2): "92d5ca5a7b625afc60b1a9f9d53934d374f9e37168a6b42516cce7603a5e699c",
+    ("Tp", 0): "eb500da10ccc6805d731d6a4dcf5e509ca5cea8bfbd9bf140a573cbb086ebca1",
+    ("Tp", 1): "c9ca64ce098f3ccd424a84283fb3588277dcac8daea12693a0fbf7bd4af869e9",
+    ("Tp", 2): "1eded6923fc2d2d1cff5565bf2cafe570129eda81d7c135333e45718dc3a9373",
+}
+
+
+class TestGoldenScans:
+    @pytest.mark.parametrize("mode,seed", sorted(GOLDEN_SCANS))
+    def test_scan_digest(self, small_config, tmp_path, mode, seed):
+        grid = {"E": ("--e-max", "6", "--tp", "2"), "Tp": ("--e", "3", "--tp-max", "6")}[mode]
+        out = tmp_path / "scan"
+        assert run_cli(
+            "scan", "--mode", mode, "--generate", "--config", small_config, "--seed", str(seed),
+            "--steps", "400", *grid, "--out", str(out),
+        ) == 0
+        digest = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SCANS[mode, seed]
+
+
 class TestScan:
+    @pytest.mark.parametrize(
+        "mode,flags", [("E", ("--e-max", "0")), ("Tp", ("--e", "2", "--tp-max", "0"))]
+    )
+    def test_empty_grid_exit_one(self, small_config, tmp_path, capsys, mode, flags):
+        out = tmp_path / "scan"
+        code = run_cli(
+            "scan", "--mode", mode, "--generate", "--config", small_config, "--steps", "300",
+            *flags, "--out", str(out),
+        )
+        assert code == 1
+        assert flags[-2] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generate_mode_e_scan(self, small_config, tmp_path):
         out = tmp_path / "scan"
         code = run_cli(

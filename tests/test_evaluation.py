@@ -1,8 +1,17 @@
+import logging
+import math
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+from edmcontrol.edm import pearson_rho, simplex_predict
 from edmcontrol.evaluation import (
     THETA_GRID,
+    _aligned_simplex_scan,
+    _chronological_split,
     embed_dimension_scan,
     evaluate_out_of_sample,
     theta_scan,
@@ -71,6 +80,138 @@ class TestTpScan:
         series = np.sin(2 * np.pi * t / period)
         res = tp_scan(series, e=2, tp_max=period)
         assert res.rho[period - 1] == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_scan(series, points, split, tau):
+    """The per-point scan loop: one embedding, split and simplex_predict call
+    per ``(E, Tp)`` point, on the origins valid at the largest E and Tp."""
+    x = np.asarray(series, dtype=np.float64)
+    first = (max(e for e, _ in points) - 1) * tau
+    last = x.size - 1 - max(tp for _, tp in points)
+    reports = []
+    for e, tp in points:
+        emb = build_delay_embedding(x, e, tau, tp)
+        emb = emb.take(np.flatnonzero((emb.times >= first) & (emb.times <= last)))
+        lib, pred = _chronological_split(emb, split)
+        reports.append(pearson_rho(simplex_predict(lib, pred), pred.targets))
+    return tuple(reports)
+
+
+def assert_same_reports(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.mae, g.rmse, g.n, g.degenerate) == (w.mae, w.rmse, w.n, w.degenerate)
+        assert g.rho == w.rho or (math.isnan(g.rho) and math.isnan(w.rho))
+
+
+def count_series(n, seed=7):
+    """Integer-valued series with many tied distances, like Active counts."""
+    rng = np.random.default_rng(seed)
+    return np.round(8 * logistic_map(n, r=3.8) + rng.integers(0, 3, size=n)).astype(float)
+
+
+SERIES = {
+    "logistic": lambda: logistic_map(260, r=3.8),
+    "counts": lambda: count_series(260),
+}
+
+
+class TestScanMatchesPerPointReference:
+    """The shared neighbour search gives exactly the per-point loop's skills."""
+
+    @pytest.mark.parametrize("split", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(SERIES))
+    def test_full_grid(self, kind, tau, split):
+        x = SERIES[kind]()
+        points = [(e, tp) for e in range(1, 11) for tp in range(0, 11)]
+        assert_same_reports(
+            _aligned_simplex_scan(x, points, split, tau), reference_scan(x, points, split, tau)
+        )
+
+    @pytest.mark.parametrize("split", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(SERIES))
+    def test_public_scans(self, kind, tau, split):
+        x = SERIES[kind]()
+        for tp in range(0, 11):
+            points = [(e, tp) for e in range(1, 11)]
+            got = embed_dimension_scan(x, 10, tp, split=split, tau=tau).reports
+            assert_same_reports(got, reference_scan(x, points, split, tau))
+        for e in range(1, 11):
+            points = [(e, tp) for tp in range(1, 11)]
+            got = tp_scan(x, e, 10, split=split, tau=tau).reports
+            assert_same_reports(got, reference_scan(x, points, split, tau))
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    @pytest.mark.parametrize("kind", sorted(SERIES))
+    def test_non_finite_values(self, kind, where):
+        x = SERIES[kind]()
+        at = {"start": [0, 1], "middle": [120, 131], "end": [x.size - 1]}[where]
+        x[at] = np.nan
+        for tau in (1, 2):
+            for points in (
+                [(e, 2) for e in range(1, 9)],
+                [(3, tp) for tp in range(1, 9)],
+                [(e, tp) for e in range(1, 6) for tp in range(0, 6)],
+            ):
+                assert_same_reports(
+                    _aligned_simplex_scan(x, points, 0.6, tau), reference_scan(x, points, 0.6, tau)
+                )
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_k_above_library_size_warns_once_per_point(self, nan):
+        x = count_series(16)
+        if nan:
+            x[8] = np.nan
+        for points in ([(e, 1) for e in range(1, 6)], [(4, tp) for tp in range(1, 4)]):
+            with warnings.catch_warnings(record=True) as got_warnings:
+                warnings.simplefilter("always")
+                got = _aligned_simplex_scan(x, points, 0.3, 1)
+            with warnings.catch_warnings(record=True) as want_warnings:
+                warnings.simplefilter("always")
+                want = reference_scan(x, points, 0.3, 1)
+            assert_same_reports(got, want)
+            assert len(want_warnings) > 0
+            assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+
+
+class TestScanLogging:
+    def test_one_debug_line_per_scan(self, caplog):
+        x = count_series(200)
+        with caplog.at_level(logging.DEBUG, logger="edmcontrol"):
+            embed_dimension_scan(x, 6, 2)
+            tp_scan(x, 3, 5)
+            x[50] = np.nan
+            tp_scan(x, 3, 5)
+        messages = [r.getMessage() for r in caplog.records if r.name == "edmcontrol.evaluation"]
+        assert messages == [
+            "simplex scan: 6 points, 6 neighbour searches, per-point path: False",
+            "simplex scan: 5 points, 1 neighbour searches, per-point path: False",
+            "simplex scan: 5 points, 5 neighbour searches, per-point path: True",
+        ]
+
+    def test_silent_by_default(self):
+        code = (
+            "import numpy as np\n"
+            "from edmcontrol.evaluation import embed_dimension_scan\n"
+            "embed_dimension_scan(np.sin(np.arange(300) * 0.3), 4, 1)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert (done.stdout, done.stderr) == ("", "")
+
+
+class TestEmptyGrid:
+    def test_e_max_below_one(self):
+        with pytest.raises(ValueError, match="e_max"):
+            embed_dimension_scan(logistic_map(100), 0, 1)
+
+    def test_tp_max_below_one(self):
+        with pytest.raises(ValueError, match="tp_max"):
+            tp_scan(logistic_map(100), 2, 0)
 
 
 class TestThetaScan:
