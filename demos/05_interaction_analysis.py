@@ -30,17 +30,16 @@ def main():
           f"   IQR [{np.percentile(jac.coef[finite], 25):.2f},"
           f" {np.percentile(jac.coef[finite], 75):.2f}]")
 
-    legitimacy = frame.column("legitimacy")
-    idx = np.array([frame.index_of(int(t)) for t in jac.times])
     part = partition_variance(
         jac,
-        legitimacy[idx],
+        frame.column("legitimacy")[jac.times - frame.time[0]],
         threshold=cfg["legitimacy_threshold"],
         window=cfg["jacobian_window"],
         stride=cfg["jacobian_stride"],
     )
-    print(f"\nsliding-window variance ({part.window}-tick windows, stride {part.stride}),")
-    print(f"split at legitimacy {part.threshold}:")
+    print(f"\nsliding-window variance ({cfg['jacobian_window']}-tick windows,"
+          f" stride {cfg['jacobian_stride']}),")
+    print(f"split at legitimacy {cfg['legitimacy_threshold']}:")
     print(f"  low  legitimacy: {part.low.size:4d} windows, median variance {np.median(part.low):10.3g}")
     print(f"  high legitimacy: {part.high.size:4d} windows, median variance {np.median(part.high):10.3g}")
 

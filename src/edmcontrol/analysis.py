@@ -52,7 +52,6 @@ class JacobianSeries:
 
     times: np.ndarray
     coef: np.ndarray
-    theta: float
     n_flagged: int = 0
 
     def write_csv(self, path) -> None:
@@ -65,25 +64,22 @@ class JacobianSeries:
                 w.writerow([int(t), repr(float(c))])
 
 
-def interaction_coefficients(
-    frame: Frame,
-    theta: float = 0.1,
-    spec: EmbeddingSpec = ANALYSIS_EMBEDDING,
-    coordinate: tuple[str, int] = ("propaganda", 0),
-) -> JacobianSeries:
+def interaction_coefficients(frame: Frame, theta: float = 0.1) -> JacobianSeries:
     """S-map interaction coefficients over a whole recorded run.
 
     Embeds the frame with the 7-D analysis spec, runs a leave-one-out S-map
     scan (library rows within ``max_lag + tp`` ticks of each query are
     excluded so a query never matches its own temporal neighborhood), and
-    extracts the regression coefficient aligned with ``coordinate``.
+    extracts the regression coefficient aligned with the propaganda
+    coordinate.
 
     A constant coordinate column makes that coefficient unidentifiable; such
     solves come back rank-deficient and their coefficients are flagged NaN
     rather than fabricated.
     """
+    spec = ANALYSIS_EMBEDDING
     emb = build_generalized_embedding(frame, spec)
-    ci = spec.coordinates.index(coordinate) + 1  # skip intercept
+    ci = spec.coordinates.index(("propaganda", 0)) + 1  # skip intercept
     radius = spec.max_lag + spec.tp
     outputs = smap_predict(emb, emb, theta, exclusion_radius=radius)
     coef = np.empty(len(outputs))
@@ -95,7 +91,7 @@ def interaction_coefficients(
             flagged += 1
         else:
             coef[i] = c
-    return JacobianSeries(times=emb.times.copy(), coef=coef, theta=theta, n_flagged=flagged)
+    return JacobianSeries(times=emb.times.copy(), coef=coef, n_flagged=flagged)
 
 
 @dataclass(frozen=True)
@@ -110,13 +106,7 @@ class VariancePartition:
     high: np.ndarray
     low_starts: np.ndarray
     high_starts: np.ndarray
-    threshold: float
-    window: int
-    stride: int
-    label_mode: str
     n_skipped: int
-    low_density: object | None = None
-    high_density: object | None = None
 
     def write_csv(self, path) -> None:
         import csv
@@ -132,29 +122,19 @@ class VariancePartition:
                 w.writerow([t, regime, repr(v)])
 
 
-def _kde(sample: np.ndarray):
-    if sample.size < 2 or float(np.var(sample)) == 0.0:
-        return None
-    return stats.gaussian_kde(sample, bw_method="silverman")
-
-
 def partition_variance(
     jacobians: JacobianSeries,
     legitimacy: np.ndarray,
     threshold: float = 0.7,
     window: int = 100,
     stride: int = 10,
-    label_mode: str = "mean",
 ) -> VariancePartition:
     """Sliding-window variance of the coefficient series, split by legitimacy.
 
     ``legitimacy`` must align with ``jacobians.times``.  Each window's
-    variance joins the low or high sample according to its mean legitimacy
-    (``label_mode="mean"``) or the value at its center (``"center"``)
-    relative to ``threshold``.  Windows containing non-finite coefficients
-    are skipped and counted in ``n_skipped``.  Gaussian kernel density
-    estimates (Silverman bandwidth) accompany each sample when it supports
-    one.
+    variance joins the low or high sample according to whether its mean
+    legitimacy lies below ``threshold``.  Windows containing non-finite
+    coefficients are skipped and counted in ``n_skipped``.
     """
     coef = np.asarray(jacobians.coef, dtype=np.float64)
     leg = np.asarray(legitimacy, dtype=np.float64)
@@ -162,8 +142,6 @@ def partition_variance(
         raise ValueError(f"legitimacy length {leg.shape} does not match coefficients {coef.shape}")
     if window > coef.size:
         raise ValueError(f"window {window} longer than record {coef.size}")
-    if label_mode not in ("mean", "center"):
-        raise ValueError("label_mode must be 'mean' or 'center'")
     times = np.asarray(jacobians.times)
     low, high = [], []
     low_starts, high_starts = [], []
@@ -173,10 +151,7 @@ def partition_variance(
         if not np.isfinite(chunk).all():
             n_skipped += 1
             continue
-        if label_mode == "mean":
-            label = float(leg[start : start + window].mean())
-        else:
-            label = float(leg[start + window // 2])
+        label = float(leg[start : start + window].mean())
         var = float(np.var(chunk))
         if label < threshold:
             low.append(var)
@@ -184,20 +159,12 @@ def partition_variance(
         else:
             high.append(var)
             high_starts.append(int(times[start]))
-    low_a = np.asarray(low, dtype=np.float64)
-    high_a = np.asarray(high, dtype=np.float64)
     return VariancePartition(
-        low=low_a,
-        high=high_a,
+        low=np.asarray(low, dtype=np.float64),
+        high=np.asarray(high, dtype=np.float64),
         low_starts=np.asarray(low_starts, dtype=np.int64),
         high_starts=np.asarray(high_starts, dtype=np.int64),
-        threshold=threshold,
-        window=window,
-        stride=stride,
-        label_mode=label_mode,
         n_skipped=n_skipped,
-        low_density=_kde(low_a),
-        high_density=_kde(high_a),
     )
 
 
@@ -206,8 +173,6 @@ class TrappedIntervals:
     """Disjoint, sorted (start, end) tick intervals of sustained rebellion."""
 
     intervals: tuple[tuple[int, int], ...]
-    active_floor: float
-    min_duration: int
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -246,7 +211,7 @@ def detect_trapped_state(
             start = None
     if start is not None and len(above) - start >= min_duration:
         intervals.append((int(times[start]), int(times[-1])))
-    return TrappedIntervals(tuple(intervals), active_floor, min_duration)
+    return TrappedIntervals(tuple(intervals))
 
 
 def outburst_onsets(frame: Frame, floor: float = 20.0) -> np.ndarray:
@@ -269,15 +234,16 @@ def waiting_times(onsets: np.ndarray) -> np.ndarray:
     return np.diff(onsets).astype(np.float64)
 
 
-def exponential_gof(waits: np.ndarray, min_events: int = 10) -> tuple[float, float]:
+def exponential_gof(waits: np.ndarray) -> tuple[float, float]:
     """Kolmogorov-Smirnov fit of waiting times to an exponential distribution.
 
     The rate is estimated from the sample mean, which makes the test
-    conservative.  Returns ``(statistic, p_value)``.
+    conservative.  Needs at least 10 waiting times.  Returns
+    ``(statistic, p_value)``.
     """
     w = np.asarray(waits, dtype=np.float64)
-    if w.size < min_events:
-        raise ValueError(f"need at least {min_events} waiting times, got {w.size}")
+    if w.size < 10:
+        raise ValueError(f"need at least 10 waiting times, got {w.size}")
     if np.any(w <= 0):
         raise ValueError("waiting times must be positive")
     stat, p = stats.kstest(w, "expon", args=(0.0, float(w.mean())))

@@ -29,14 +29,9 @@ from .analysis import (
     partition_variance,
 )
 from .config import _OWNERS, CONFIG_ENV_VAR, coerce, resolve
-from .control import ControllerParams, LoopConfig, make_legitimacy_schedule
+from .control import CONTROL_EMBEDDING, ControllerParams, LoopConfig, make_legitimacy_schedule
 from .edm import pearson_rho, smap_predict, smap_predictions
-from .evaluation import (
-    THETA_GRID,
-    embed_dimension_scan,
-    theta_scan,
-    tp_scan,
-)
+from .evaluation import DEFAULT_SPLIT, embed_dimension_scan, theta_scan, tp_scan
 from .scenarios import standard_run
 from .timeseries import (
     EmbeddingSpec,
@@ -67,16 +62,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Outputs:
-    """Writes a command's files atomically so failures leave no partial output."""
+    """Writes a command's files atomically so failures leave no partial output.
+
+    Directories are made only when a file is written into them, and
+    ``discard`` removes the ones made here, so a failed command leaves no
+    directory behind either.
+    """
 
     def __init__(self, out_dir: str):
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise NotADirectoryError(f"output path {out_dir} is not a directory")
         self.out_dir = out_dir
         self.files: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        self.dirs: list[str] = []  # made here, parents before children
 
     def write(self, name: str, writer) -> None:
         """Create ``name`` by ``writer(tmp_path)``, then rename it into place."""
         full = os.path.join(self.out_dir, name)
+        folder = os.path.dirname(full)
+        missing = []
+        while folder and not os.path.isdir(folder):
+            missing.append(folder)
+            folder = os.path.dirname(folder)
+        self.dirs.extend(reversed(missing))
         os.makedirs(os.path.dirname(full), exist_ok=True)
         self.files.append(name)
         writer(full + ".tmp")
@@ -105,6 +113,11 @@ class _Outputs:
                     os.remove(os.path.join(self.out_dir, path))
                 except OSError:
                     pass
+        for path in reversed(self.dirs):  # deepest first; one still holding files stays
+            try:
+                os.rmdir(path)
+            except OSError:
+                pass
 
 
 def _run_command(command: str, args: dict, out_dir: str) -> None:
@@ -168,20 +181,10 @@ def _run_keys(control: bool, legitimacy: str) -> frozenset:
     return keys
 
 
-def _run_overrides(ns, run: str, control: bool, legitimacy: str) -> dict:
-    """``--set`` overrides of a command that runs the world; a key the run
-    does not read is an error rather than silently ignored."""
-    overrides = _config_overrides(ns)
-    read = _run_keys(control, legitimacy)
-    for key in overrides:
-        if key not in read:
-            raise UsageError(f"{run} does not read --set {key}; drop it")
-    return overrides
-
-
 def _cmd_simulate(ns) -> int:
     run = f"simulate --control {ns.control} --legitimacy {ns.legitimacy}"
-    cfg = resolve(ns.config, _run_overrides(ns, run, ns.control == "on", ns.legitimacy))
+    read = _run_keys(ns.control == "on", ns.legitimacy)
+    cfg = resolve(ns.config, _config_overrides(ns, run, read))
     seeds = _parse_seeds(ns.seed, ns.seeds)
     base = {
         "steps": ns.steps,
@@ -228,7 +231,7 @@ def _scan(args: dict, out: _Outputs) -> None:
         result = tp_scan(series, args["e"], args["tp_max"], split=args["split"])
         param = "Tp"
     else:
-        result = theta_scan(series, args["e"], args["tp"], split=args["split"], grid=THETA_GRID)
+        result = theta_scan(series, args["e"], args["tp"], split=args["split"])
         param = "theta"
     out.write("scan.csv", lambda path: result.write_csv(path, param_name=param))
     if any(r.degenerate for r in result.reports):
@@ -276,7 +279,7 @@ def _cmd_scan(ns) -> int:
         **{name: flags[name] for name in used},
     }
     if ns.data is None:
-        overrides = _run_overrides(ns, "scan --generate", control=False, legitimacy="constant")
+        overrides = _config_overrides(ns, "scan --generate", _run_keys(False, "constant"))
         args["config"] = resolve(ns.config, overrides)
         args["seed"] = flags["seed"]
         args["steps"] = flags["steps"]
@@ -361,11 +364,9 @@ def _analyze(args: dict, out: _Outputs) -> None:
     if args["jacobian"]:
         out.write("jacobian.csv", jac.write_csv)
     if args["partition"]:
-        leg = frame.column("legitimacy")
-        idx = np.array([frame.index_of(int(t)) for t in jac.times])
         part = partition_variance(
             jac,
-            leg[idx],
+            frame.column("legitimacy")[jac.times - frame.time[0]],  # unit-step ticks
             threshold=cfg["legitimacy_threshold"],
             window=cfg["jacobian_window"],
             stride=cfg["jacobian_stride"],
@@ -385,23 +386,20 @@ def _analyze(args: dict, out: _Outputs) -> None:
         out.write("trapped.csv", trapped.write_csv)
 
 
-# Config keys each analysis reads; a --set key that none of the requested
-# analyses reads is an error rather than silently ignored.
+# Config keys each analysis reads.
 _ANALYZE_KEYS = {
-    "jacobian": ("jacobian_theta",),
-    "partition": ("jacobian_theta", "legitimacy_threshold", "jacobian_window", "jacobian_stride"),
-    "trapped": ("trapped_active_floor", "trapped_min_duration"),
+    "jacobian": _keys_of(interaction_coefficients),
+    "partition": _keys_of(interaction_coefficients, partition_variance),
+    "trapped": _keys_of(detect_trapped_state),
 }
 
 
 def _cmd_analyze(ns) -> int:
-    if not (ns.jacobian or ns.partition or ns.trapped):
+    flags = [flag for flag in _ANALYZE_KEYS if getattr(ns, flag)]
+    if not flags:
         raise UsageError("analyze needs at least one of --jacobian --partition --trapped")
-    overrides = _config_overrides(ns)
-    read = {key for flag, keys in _ANALYZE_KEYS.items() if getattr(ns, flag) for key in keys}
-    for key in overrides:
-        if key not in read:
-            raise UsageError(f"analyze does not read --set {key} with the analyses requested; drop it")
+    run = "analyze " + " ".join(f"--{flag}" for flag in flags)
+    overrides = _config_overrides(ns, run, frozenset().union(*(_ANALYZE_KEYS[f] for f in flags)))
     args = {
         "data": ns.data,
         "jacobian": ns.jacobian,
@@ -416,8 +414,6 @@ def _cmd_analyze(ns) -> int:
 # ------------------------------------------------------- export-comparison
 
 def _export_comparison(args: dict, out: _Outputs) -> None:
-    from .control import CONTROL_EMBEDDING
-
     cfg = args["config"]
     frame = standard_run(
         cfg,
@@ -441,7 +437,7 @@ def _export_comparison(args: dict, out: _Outputs) -> None:
 
 def _cmd_export_comparison(ns) -> int:
     run = f"export-comparison --legitimacy {ns.legitimacy}"
-    overrides = _run_overrides(ns, run, control=False, legitimacy=ns.legitimacy)
+    overrides = _config_overrides(ns, run, _run_keys(False, ns.legitimacy))
     args = {
         "seed": ns.seed,
         "steps": ns.steps,
@@ -499,14 +495,24 @@ def _parse_seeds(seed, seeds) -> list[int]:
     return [seed]
 
 
-def _config_overrides(ns) -> dict:
+def _config_overrides(ns, run: str, read: frozenset) -> dict:
+    """``--set`` overrides; a key that ``run`` does not read is an error
+    rather than silently ignored."""
     overrides = {}
-    for item in getattr(ns, "set", None) or []:
+    for item in ns.set or []:
         if "=" not in item:
             raise UsageError(f"--set {item!r} must be key=value")
         key, value = (part.strip() for part in item.split("=", 1))
         overrides[key] = coerce(key, value)
+        if key not in read:
+            raise UsageError(f"{run} does not read --set {key}; drop it")
     return overrides
+
+
+# Tick ranges of the paper's train/test protocol, the defaults of
+# forecast --lib/--pred and export-comparison --train/--test.
+_TRAIN_RANGE = "1:1500"
+_TEST_RANGE = "1601:3100"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -543,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, help="modes Tp and theta (required)")
     p.add_argument("--tp", type=int, help=f"modes E and theta (default: {d['tp']})")
     p.add_argument("--tp-max", type=int, dest="tp_max", help=f"mode Tp (default: {d['tp_max']})")
-    p.add_argument("--split", type=float, default=0.6)
+    p.add_argument("--split", type=float, default=DEFAULT_SPLIT)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("forecast", help="out-of-sample S-map forecast on a frame CSV")
@@ -551,13 +557,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument(
         "--coords",
-        default="jailed:0,jailed:2,jailed:4,quiet:0,quiet:2,quiet:4",
+        default=",".join(f"{name}:{lag}" for name, lag in CONTROL_EMBEDDING.coordinates),
         help="comma-separated column:lag coordinates",
     )
-    p.add_argument("--target", default="active")
-    p.add_argument("--tp", type=int, default=5)
-    p.add_argument("--lib", default="1:1500", metavar="A:B")
-    p.add_argument("--pred", default="1601:3100", metavar="C:D")
+    p.add_argument("--target", default=CONTROL_EMBEDDING.target)
+    p.add_argument("--tp", type=int, default=CONTROL_EMBEDDING.tp)
+    p.add_argument("--lib", default=_TRAIN_RANGE, metavar="A:B")
+    p.add_argument("--pred", default=_TEST_RANGE, metavar="C:D")
     p.add_argument("--theta", type=float, default=None, help="default: tuned on the library")
     p.set_defaults(func=_cmd_forecast)
 
@@ -574,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=3100)
     p.add_argument("--legitimacy", choices=("constant", "random", "random-full"), default="random-full")
-    p.add_argument("--train", default="1:1500", metavar="A:B")
-    p.add_argument("--test", default="1601:3100", metavar="C:D")
+    p.add_argument("--train", default=_TRAIN_RANGE, metavar="A:B")
+    p.add_argument("--test", default=_TEST_RANGE, metavar="C:D")
     p.set_defaults(func=_cmd_export_comparison)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")

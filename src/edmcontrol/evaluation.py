@@ -9,7 +9,7 @@ Rows are aligned across scan points so the skills are comparable.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,11 +53,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Skill per scanned parameter value, plus the fixed parameters."""
+    """Skill per scanned parameter value."""
 
     axis: np.ndarray
     reports: tuple[SkillReport, ...]
-    fixed: dict = field(default_factory=dict)
 
     @property
     def rho(self) -> np.ndarray:
@@ -180,7 +179,6 @@ def embed_dimension_scan(
     return ScanResult(
         axis=np.arange(1, e_max + 1),
         reports=_aligned_simplex_scan(series, [(e, tp) for e in range(1, e_max + 1)], split, tau),
-        fixed={"tp": tp, "tau": tau, "split": split},
     )
 
 
@@ -197,7 +195,6 @@ def tp_scan(
     return ScanResult(
         axis=np.arange(1, tp_max + 1),
         reports=_aligned_simplex_scan(series, [(e, tp) for tp in range(1, tp_max + 1)], split, tau),
-        fixed={"e": e, "tau": tau, "split": split},
     )
 
 
@@ -221,12 +218,7 @@ def theta_scan(
     """S-map skill over the kernel-width grid on a delay embedding of a series."""
     emb = build_delay_embedding(np.asarray(series, dtype=np.float64), e, tau, tp)
     lib, pred = _chronological_split(emb, split)
-    result = theta_scan_split(lib, pred, grid)
-    return ScanResult(
-        axis=result.axis,
-        reports=result.reports,
-        fixed={"e": e, "tp": tp, "tau": tau, "split": split},
-    )
+    return theta_scan_split(lib, pred, grid)
 
 
 def tune_theta(

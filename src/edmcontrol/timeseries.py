@@ -231,14 +231,13 @@ def build_generalized_embedding(frame: Frame, spec: EmbeddingSpec) -> Embedding:
     return _drop_nonfinite(points, targets, times, spec.coord_names())
 
 
-def build_state_vector(frame: Frame, spec: EmbeddingSpec, tick: int | None = None) -> np.ndarray:
-    """State vector at a single origin tick, without requiring a target.
+def build_state_vector(frame: Frame, spec: EmbeddingSpec) -> np.ndarray:
+    """State vector at the last tick of the frame, without requiring a target.
 
     Used to query a model at the most recent completed observation, where the
-    target ``tp`` steps ahead has not been observed yet.  Defaults to the last
-    tick of the frame.
+    target ``tp`` steps ahead has not been observed yet.
     """
-    pos = len(frame) - 1 if tick is None else frame.index_of(tick)
+    pos = len(frame) - 1
     if pos - spec.max_lag < 0:
         raise InsufficientDataError(
             f"tick position {pos} precedes max lag {spec.max_lag}"
@@ -253,27 +252,23 @@ def split_library_prediction(
     embedding: Embedding,
     lib_range: tuple[int, int],
     pred_range: tuple[int, int],
-    allow_overlap: bool = False,
 ) -> tuple[Embedding, Embedding]:
     """Partition an embedding into library and prediction sets by origin time.
 
     Ranges are inclusive ``(start, end)`` intervals over the embedding's
-    origin ticks.  By default the intervals must be disjoint so that library
-    neighbor search never sees prediction rows.
+    origin ticks.  They must be disjoint so that library neighbor search
+    never sees prediction rows.
 
     Raises:
-        ValueError: if the ranges overlap (without ``allow_overlap``) or if
-            either partition comes out empty.
+        ValueError: if the ranges overlap or if either partition comes out
+            empty.
     """
     lo_a, hi_a = int(lib_range[0]), int(lib_range[1])
     lo_b, hi_b = int(pred_range[0]), int(pred_range[1])
     if lo_a > hi_a or lo_b > hi_b:
         raise ValueError("ranges must satisfy start <= end")
-    if not allow_overlap and max(lo_a, lo_b) <= min(hi_a, hi_b):
-        raise ValueError(
-            f"overlapping ranges {lib_range} and {pred_range};"
-            " pass allow_overlap=True to permit this"
-        )
+    if max(lo_a, lo_b) <= min(hi_a, hi_b):
+        raise ValueError(f"overlapping ranges {lib_range} and {pred_range}")
     t = embedding.times
     lib = embedding.take(np.flatnonzero((t >= lo_a) & (t <= hi_a)))
     pred = embedding.take(np.flatnonzero((t >= lo_b) & (t <= hi_b)))

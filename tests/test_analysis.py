@@ -72,12 +72,11 @@ class TestInteractionCoefficients:
 
 class TestPartitionVariance:
     def test_constant_series_zero_variance_everywhere(self):
-        jac = JacobianSeries(times=np.arange(1, 301), coef=np.full(300, 2.0), theta=1.0)
+        jac = JacobianSeries(times=np.arange(1, 301), coef=np.full(300, 2.0))
         leg = np.concatenate([np.full(150, 0.65), np.full(150, 0.8)])
         part = partition_variance(jac, leg, window=50, stride=10)
         assert np.all(part.low == 0.0)
         assert np.all(part.high == 0.0)
-        assert part.low_density is None  # degenerate sample has no KDE
 
     def test_planted_variance_ratio_recovered(self):
         rng = np.random.default_rng(1)
@@ -86,44 +85,34 @@ class TestPartitionVariance:
         coef = np.concatenate(
             [rng.normal(scale=2.0, size=n // 2), rng.normal(scale=1.0, size=n // 2)]
         )
-        jac = JacobianSeries(times=np.arange(1, n + 1), coef=coef, theta=1.0)
+        jac = JacobianSeries(times=np.arange(1, n + 1), coef=coef)
         part = partition_variance(jac, leg, window=100, stride=20)
         ratio = np.median(part.low) / np.median(part.high)
         assert abs(ratio - 4.0) < 1.0  # planted 4:1, recover within 25%
 
     def test_label_by_window_mean(self):
-        jac = JacobianSeries(times=np.arange(1, 101), coef=np.ones(100), theta=1.0)
+        jac = JacobianSeries(times=np.arange(1, 101), coef=np.ones(100))
         leg = np.linspace(0.6, 0.8, 100)
-        part = partition_variance(jac, leg, window=20, stride=20, label_mode="mean")
+        part = partition_variance(jac, leg, window=20, stride=20)
         assert part.low.size + part.high.size == 5
 
     def test_nonfinite_windows_skipped(self):
         coef = np.ones(100)
         coef[30] = np.nan
-        jac = JacobianSeries(times=np.arange(1, 101), coef=coef, theta=1.0)
+        jac = JacobianSeries(times=np.arange(1, 101), coef=coef)
         part = partition_variance(jac, np.full(100, 0.6), window=20, stride=10)
         assert part.low.size == 9 - 2  # windows starting at 20 and 30 are dropped
         assert part.n_skipped == 2
         clean = partition_variance(
-            JacobianSeries(times=np.arange(1, 101), coef=np.ones(100), theta=1.0),
+            JacobianSeries(times=np.arange(1, 101), coef=np.ones(100)),
             np.full(100, 0.6), window=20, stride=10,
         )
         assert clean.n_skipped == 0
 
     def test_window_longer_than_record(self):
-        jac = JacobianSeries(times=np.arange(1, 11), coef=np.ones(10), theta=1.0)
+        jac = JacobianSeries(times=np.arange(1, 11), coef=np.ones(10))
         with pytest.raises(ValueError, match="window"):
             partition_variance(jac, np.full(10, 0.7), window=50)
-
-    def test_kde_present_for_varying_samples(self):
-        rng = np.random.default_rng(2)
-        n = 1500
-        leg = np.where(rng.random(n) < 0.5, 0.65, 0.75)
-        coef = rng.normal(size=n)
-        jac = JacobianSeries(times=np.arange(1, n + 1), coef=coef, theta=1.0)
-        part = partition_variance(jac, leg, window=100, stride=50, label_mode="center")
-        assert part.low_density is not None and part.high_density is not None
-        assert part.low_density(np.median(part.low))[0] > 0
 
 
 class TestTrappedState:

@@ -272,7 +272,20 @@ class TestSimulate:
         out = tmp_path / "run"
         code = run_cli("simulate", "--config", small_config, "--steps", "20", "--out", str(out))
         assert code == 2
-        assert os.listdir(out) == []
+        assert not out.exists()
+
+
+    def test_out_path_that_is_a_file_exit_two_before_running(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "standard_run", lambda *args, **kwargs: runs.append(args))
+        out = tmp_path / "taken"
+        out.write_text("mine\n")
+        code = run_cli("simulate", "--config", small_config, "--steps", "20", "--out", str(out))
+        assert code == 2
+        assert runs == []
+        assert out.read_text() == "mine\n"
 
 
 class TestGoldenFrames:
@@ -327,6 +340,50 @@ class TestGoldenScans:
         assert digest == GOLDEN_SCANS[mode, seed]
 
 
+# SHA-256 of jacobian.csv, variance.csv and trapped.csv from `analyze --jacobian
+# --partition --trapped --set trapped_active_floor=10 --set trapped_min_duration=20`
+# on `simulate --config SMALL_CFG --steps 400 --control on --legitimacy random`;
+# the lower trapped settings give the controlled runs intervals to detect.
+GOLDEN_ANALYSIS = {
+    0: (
+        "d9654d7a0b153513c09b39b99059ccd4263769abc7315f3c59cc0b94bff69d3b",
+        "fa94350562feb928bd54d857eba507d181a815ab814d2bdccceb0a5258065c75",
+        "f383307554fa78ce2b834614adc9f5da08838b8b2c2a2ff79fd5005e24ffd375",
+    ),
+    1: (
+        "30af44c62c693aab91210f7af296408583e82aac4f5fedb0b03db107b5f2e673",
+        "2d4998821ee8e014c955572313d63c4e71f6aa9d047bf8395ded68cd29d97044",
+        "34cd7f2414ecc7510b786f41466ff405d58619482338c2d387d73ed0e4dba759",
+    ),
+    2: (
+        "707a42e8ee0bf213c58d62d6ff7ffceb3c5a16e12199a12ccaae507a3e312a86",
+        "9a462f71dffc643cf65e8d41ec76900ff24c6c34f76097ed18238ca7585d6e1b",
+        "096a06ea01b1d7ef871bbba26caa916cf577cb57b639e00e250ad23420cd3ac1",
+    ),
+}
+
+
+class TestGoldenAnalysis:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_ANALYSIS))
+    def test_analysis_digests(self, small_config, tmp_path, seed):
+        gen = tmp_path / "gen"
+        assert run_cli(
+            "simulate", "--config", small_config, "--seed", str(seed), "--steps", "400",
+            "--control", "on", "--legitimacy", "random", "--out", str(gen),
+        ) == 0
+        out = tmp_path / "analysis"
+        assert run_cli(
+            "analyze", "--data", str(gen / "frame.csv"), "--jacobian", "--partition", "--trapped",
+            "--config", small_config, "--set", "trapped_active_floor=10",
+            "--set", "trapped_min_duration=20", "--out", str(out),
+        ) == 0
+        digests = tuple(
+            hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("jacobian.csv", "variance.csv", "trapped.csv")
+        )
+        assert digests == GOLDEN_ANALYSIS[seed]
+
+
 class TestScan:
     @pytest.mark.parametrize(
         "mode,flags", [("E", ("--e-max", "0")), ("Tp", ("--e", "2", "--tp-max", "0"))]
@@ -371,6 +428,23 @@ class TestScan:
 
     def test_needs_data_or_generate(self, tmp_path):
         assert run_cli("scan", "--mode", "E", "--out", str(tmp_path / "s")) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--mode", "Tp", "--e", "0"), "e must be >= 1"),
+            (("--mode", "E", "--split", "1.5"), "empty partition"),
+        ],
+    )
+    def test_failure_inside_the_command_leaves_no_directory(
+        self, tmp_path, capsys, flags, message
+    ):
+        data = tmp_path / "tiny.csv"
+        data.write_text("time,active\n" + "".join(f"{t},{t % 7}\n" for t in range(1, 41)))
+        out = tmp_path / "nested" / "scan"
+        assert run_cli("scan", "--data", str(data), *flags, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "nested").exists()
 
     # flags that only a --generate run reads
     @pytest.mark.parametrize("flag", ["--config", "--set", "--generate", "--seed", "--steps"])
@@ -531,7 +605,7 @@ class TestAnalyze:
         coef[5] = np.nan  # only the first window covers it
         monkeypatch.setattr(
             cli, "interaction_coefficients",
-            lambda frame, theta: JacobianSeries(times=times, coef=coef, theta=theta),
+            lambda frame, theta: JacobianSeries(times=times, coef=coef),
         )
         out = tmp_path / "analysis"
         code = run_cli(
@@ -604,6 +678,42 @@ class TestAnalyze:
     def test_requires_a_flag(self, tmp_path):
         assert run_cli("analyze", "--data", "x.csv", "--out", str(tmp_path / "a")) == 1
 
+    @staticmethod
+    def fail_partition(*args, **kwargs):
+        raise ValueError("partition failed")
+
+    def test_failure_after_a_write_leaves_no_directory(self, frame_csv, tmp_path, monkeypatch):
+        written = []
+        discard = cli._Outputs.discard
+
+        def record_then_discard(outputs):
+            written.extend(os.listdir(outputs.out_dir))
+            discard(outputs)
+
+        monkeypatch.setattr(cli, "partition_variance", self.fail_partition)
+        monkeypatch.setattr(cli._Outputs, "discard", record_then_discard)
+        out = tmp_path / "analysis"
+        code = run_cli(
+            "analyze", "--data", frame_csv, "--jacobian", "--partition", "--out", str(out)
+        )
+        assert code == 1
+        assert written == ["jacobian.csv"]
+        assert not out.exists()
+
+    def test_failure_keeps_an_existing_directory_and_its_files(
+        self, frame_csv, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "partition_variance", self.fail_partition)
+        out = tmp_path / "analysis"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        code = run_cli(
+            "analyze", "--data", frame_csv, "--jacobian", "--partition", "--out", str(out)
+        )
+        assert code == 1
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "mine\n"
+
     @pytest.mark.parametrize(
         "content",
         ["time,active\n1,abc\n", "tick,active\n1,3\n", "time,active\n1,3,4\n", ""],
@@ -614,7 +724,7 @@ class TestAnalyze:
         data.write_text(content)
         out = tmp_path / "analysis"
         assert run_cli("analyze", "--data", str(data), "--trapped", "--out", str(out)) == 2
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestExportComparison:

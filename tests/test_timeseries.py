@@ -156,7 +156,9 @@ class TestGeneralizedEmbedding:
         f = make_frame(a=rng.random(15), b=rng.random(15))
         spec = EmbeddingSpec((("a", 0), ("b", 3)), target="a", tp=2)
         emb = build_generalized_embedding(f, spec)
-        v = build_state_vector(f, spec, tick=int(emb.times[-1]))
+        # the last embedding row's origin is the last tick of a frame cut there
+        cut = make_frame(a=f.column("a")[: emb.times[-1]], b=f.column("b")[: emb.times[-1]])
+        v = build_state_vector(cut, spec)
         assert np.array_equal(v, emb.points[-1])
 
 
@@ -184,8 +186,6 @@ class TestSplit:
         emb = self.make_embedding(100)
         with pytest.raises(ValueError, match="overlap"):
             split_library_prediction(emb, (1, 50), (40, 60))
-        lib, pred = split_library_prediction(emb, (1, 50), (40, 60), allow_overlap=True)
-        assert len(pred) == 21
 
     def test_empty_partition_rejected(self):
         emb = self.make_embedding(10)
