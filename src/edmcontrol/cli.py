@@ -182,6 +182,10 @@ def _run_keys(control: bool, legitimacy: str) -> frozenset:
 
 
 def _cmd_simulate(ns) -> int:
+    if ns.jobs is not None and ns.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
+    if ns.jobs is not None and ns.seeds is None:
+        raise UsageError("--jobs runs a --seeds sweep in parallel; without --seeds, drop it")
     run = f"simulate --control {ns.control} --legitimacy {ns.legitimacy}"
     read = _run_keys(ns.control == "on", ns.legitimacy)
     cfg = resolve(ns.config, _config_overrides(ns, run, read))
@@ -195,7 +199,7 @@ def _cmd_simulate(ns) -> int:
     if len(seeds) == 1:
         _run_command("simulate", {**base, "seed": seeds[0]}, ns.out)
         return EXIT_OK
-    jobs = max(1, ns.jobs)
+    jobs = ns.jobs or 1
     tasks = [
         ("simulate", {**base, "seed": s}, os.path.join(ns.out, f"seed_{s}"))
         for s in seeds
@@ -492,7 +496,7 @@ def _parse_seeds(seed, seeds) -> list[int]:
         if b <= a:
             raise UsageError(f"--seeds {seeds}: end must exceed start")
         return list(range(a, b))
-    return [seed]
+    return [0 if seed is None else seed]
 
 
 def _config_overrides(ns, run: str, read: frozenset) -> dict:
@@ -528,12 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the civil-disobedience scenario")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", default=None, metavar="A:B", help="seed sweep [A, B)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="default: 0")
+    seeds.add_argument("--seeds", metavar="A:B", help="seed sweep [A, B)")
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--control", choices=("on", "off"), default="off")
     p.add_argument("--legitimacy", choices=("constant", "random", "random-full"), default="constant")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenarios for seed sweeps")
+    p.add_argument("--jobs", type=int, help="parallel scenarios for --seeds (default: 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("scan", help="skill scans over E, Tp, or theta")

@@ -7,11 +7,13 @@ fitted coefficient vector doubles as an estimate of the local Jacobian between
 the target and each state-space coordinate.
 
 Both methods run one blocked kernel, whether they get one query or
-thousands: each block of queries gets its distances, exclusion masks and
-weights in one pass, simplex selects neighbours with a partial sort, and the
-S-map solves each query's small Gram system in one batched solve.  S-map
-queries whose fit is degenerate, singular or ill-conditioned fall back to a
-rank-revealing least-squares solve.
+thousands: each block of queries gets its distances and weights in one pass,
+simplex selects neighbours with a partial sort, and the S-map solves each
+query's small Gram system in one batched solve.  S-map queries whose fit is
+degenerate, singular or ill-conditioned fall back to a rank-revealing
+least-squares solve.  Only the S-map takes an exclusion window, for its
+leave-one-out use; simplex forecasts out of sample and may use every
+library row.
 """
 
 from __future__ import annotations
@@ -101,9 +103,8 @@ def _blocks(n_queries: int, library: Embedding):
     return [slice(i, i + size) for i in range(0, n_queries, size)]
 
 
-def _block_distances(library: Embedding, coords, pts, times, exclusion_radius: int):
-    """Distances from each query to every library row, and the rows each
-    query may use (None when nothing is excluded).
+def _block_distances(coords, pts):
+    """Distances from each query to every library row.
 
     ``coords`` holds the library coordinates one per row (E x N), so the
     squared differences are summed coordinate by coordinate: the same sums
@@ -111,96 +112,64 @@ def _block_distances(library: Embedding, coords, pts, times, exclusion_radius: i
     """
     diff = coords[None, :, :] - pts[:, :, None]
     diff *= diff
-    dist = np.sqrt(diff.sum(axis=1))
-    if exclusion_radius < 0:
-        return dist, None
-    if times is None:
-        raise ValueError("exclusion_radius needs query times: pass an Embedding or query_time")
-    keep = np.abs(library.times[None, :] - times[:, None]) > exclusion_radius
-    if not keep.any(axis=1).all():
-        raise ValueError("exclusion radius removed every library row")
-    return dist, keep
+    return np.sqrt(diff.sum(axis=1))
 
 
-def _nearest(dist: np.ndarray, keep, k: int):
-    """Each query's k nearest usable rows in (distance, row id) order.
+def _nearest(dist: np.ndarray, k: int):
+    """Each query's k nearest rows in (distance, row id) order.
 
     ``np.partition`` finds each query's k-th distance; only the rows at or
-    below it are sorted.  Returns ids and distances of shape
-    ``(queries, min(k, rows))``; a query with fewer usable rows is padded
-    with id -1 and distance inf.
+    below it are sorted.  Every query has at least ``min(k, rows)`` such
+    candidates, so the first that many of each query's sorted candidates
+    are its ids and distances, of shape ``(queries, min(k, rows))``.
     """
-    if keep is not None:
-        dist = np.where(keep, dist, np.inf)
     n_queries, n_rows = dist.shape
     width = min(k, n_rows)
     kth = np.partition(dist, width - 1, axis=1)[:, width - 1 : width]
-    candidate = ~(dist > kth)  # NaN distances stay candidates and sort last
-    if keep is not None:
-        candidate &= keep
-    q, ids = np.nonzero(candidate)
+    q, ids = np.nonzero(~(dist > kth))  # NaN distances stay candidates and sort last
     d = dist[q, ids]
     order = np.lexsort((ids, d, q))
     q, ids, d = q[order], ids[order], d[order]
-    rank = np.arange(q.size) - np.searchsorted(q, q)
-    take = rank < width
-    out_ids = np.full((n_queries, width), -1)
-    out_d = np.full((n_queries, width), np.inf)
-    out_ids[q[take], rank[take]] = ids[take]
-    out_d[q[take], rank[take]] = d[take]
-    return out_ids, out_d
+    take = np.arange(q.size) - np.searchsorted(q, q) < width
+    return ids[take].reshape(n_queries, width), d[take].reshape(n_queries, width)
 
 
-def _neighbors(library: Embedding, pts, times, k: int, exclusion_radius: int):
+def _neighbors(library: Embedding, pts, k: int):
     """:func:`_nearest` over every query, block by block, warning when ``k``
-    exceeds the rows some query may use."""
+    exceeds the library size."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(library) == 0:
         raise ValueError("empty library")
     coords = np.ascontiguousarray(library.points.T)
-    parts = [
-        _nearest(*_block_distances(library, coords, pts[b], None if times is None else times[b],
-                                   exclusion_radius), k)
-        for b in _blocks(len(pts), library)
-    ]
+    parts = [_nearest(_block_distances(coords, pts[b]), k) for b in _blocks(len(pts), library)]
     ids = np.concatenate([p[0] for p in parts])
     dist = np.concatenate([p[1] for p in parts])
-    _warn_if_short(k, int((ids >= 0).sum(axis=1).min()), stacklevel=4)
+    _warn_if_short(k, len(library), stacklevel=4)
     return ids, dist
 
 
-def _warn_if_short(k: int, usable: int, stacklevel: int) -> None:
-    """Warn when ``k`` exceeds the fewest library rows a query may use."""
-    if k > usable:
+def _warn_if_short(k: int, rows: int, stacklevel: int) -> None:
+    """Warn when ``k`` exceeds the library's ``rows``."""
+    if k > rows:
         warnings.warn(
-            f"k={k} exceeds usable library size {usable}; returning all rows",
+            f"k={k} exceeds usable library size {rows}; returning all rows",
             stacklevel=stacklevel,
         )
 
 
-def knn(
-    library: Embedding,
-    query: np.ndarray,
-    k: int,
-    query_time: int | None = None,
-    exclusion_radius: int = -1,
-) -> NeighborSet:
+def knn(library: Embedding, query: np.ndarray, k: int) -> NeighborSet:
     """Exact k nearest library rows to ``query`` by Euclidean distance.
 
     Ties are broken by ascending library row id, so the result is
-    deterministic.  When ``query_time`` is given, rows whose origin lies
-    within ``exclusion_radius`` ticks of it are removed first (leave-one-out
-    support).  If ``k`` exceeds the usable library size, all rows are
+    deterministic.  If ``k`` exceeds the library size, all rows are
     returned with a warning.
     """
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (library.e,):
         raise ValueError(f"query has shape {q.shape}, library dimension is {library.e}")
-    times = None if query_time is None else np.array([int(query_time)])
-    ids, dist = _neighbors(library, q[None, :], times, k, exclusion_radius)
-    found = ids[0] >= 0
-    return NeighborSet(indices=ids[0][found], distances=dist[0][found])
+    ids, dist = _neighbors(library, q[None, :], k)
+    return NeighborSet(indices=ids[0], distances=dist[0])
 
 
 def _simplex_weights(distances: np.ndarray) -> np.ndarray:
@@ -208,8 +177,7 @@ def _simplex_weights(distances: np.ndarray) -> np.ndarray:
     (first) distance.
 
     Zero-distance neighbors (exact state matches) take over entirely:
-    they get uniform weight and all others get zero.  Padding at distance
-    inf gets zero weight.
+    they get uniform weight and all others get zero.
     """
     nearest = distances[..., :1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -217,24 +185,18 @@ def _simplex_weights(distances: np.ndarray) -> np.ndarray:
     return np.where(nearest == 0.0, (distances == 0.0).astype(np.float64), w)
 
 
-def simplex_predict(
-    library: Embedding,
-    queries,
-    k: int | None = None,
-    exclusion_radius: int = -1,
-) -> np.ndarray:
+def simplex_predict(library: Embedding, queries, k: int | None = None) -> np.ndarray:
     """Simplex projection: distance-weighted average of neighbor targets.
 
-    ``queries`` may be an :class:`Embedding` (whose origin times drive the
-    optional exclusion window) or a plain 2-D array of state vectors.
-    ``k`` defaults to ``E + 1``.
+    ``queries`` may be an :class:`Embedding` or a plain 2-D array of state
+    vectors.  ``k`` defaults to ``E + 1``.
     """
-    pts, times = _query_points_times(library, queries)
+    pts, _ = _query_points_times(library, queries)
     if k is None:
         k = library.e + 1
-    ids, dist = _neighbors(library, pts, times, k, exclusion_radius)
+    ids, dist = _neighbors(library, pts, k)
     w = _simplex_weights(dist)
-    y = np.where(ids >= 0, library.targets[ids], 0.0)
+    y = library.targets[ids]
     return (w[:, None, :] @ y[:, :, None])[:, 0, 0] / w.sum(axis=1)
 
 
@@ -276,6 +238,8 @@ def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: in
             f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
         )
     pts, times = _query_points_times(library, queries)
+    if exclusion_radius >= 0 and times is None:
+        raise ValueError("exclusion_radius needs query times: pass an Embedding")
     # Rows 1, X - mean and y: one stacked product per block gives every
     # query's weighted Gram matrix and right-hand side.  Centring the
     # coordinates keeps the intercept column from dominating the Gram matrix.
@@ -290,11 +254,14 @@ def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: in
     solved = np.zeros(len(pts), dtype=bool)
     for b in _blocks(len(pts), library):
         q = pts[b]
-        qt = None if times is None else times[b]
-        dist, keep = _block_distances(library, coords, q, qt, exclusion_radius)
-        if keep is None:
+        dist = _block_distances(coords, q)
+        keep = None
+        if exclusion_radius < 0:
             d_mean = dist.mean(axis=1)
         else:
+            keep = np.abs(library.times[None, :] - times[b, None]) > exclusion_radius
+            if not keep.any(axis=1).all():
+                raise ValueError("exclusion radius removed every library row")
             d_mean = np.where(keep, dist, 0.0).sum(axis=1) / keep.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             w2 = np.exp(-2.0 * theta * dist / d_mean[:, None])

@@ -148,14 +148,13 @@ def _simplex_skills(x: np.ndarray, lib: Embedding, pred: Embedding, points) -> d
             sq += diff * diff
             if e not in tps:
                 continue
-            ids, dist = _nearest(np.sqrt(sq), None, e + 1)
+            ids, dist = _nearest(np.sqrt(sq), e + 1)
             w = _simplex_weights(dist)
             for tp in tps[e]:
                 y = x[lib.times[ids] + tp]
                 forecasts[e, tp][b] = (w[:, None, :] @ y[:, :, None])[:, 0, 0] / w.sum(axis=1)
     skills = {}
     for (e, tp), forecast in forecasts.items():
-        # no exclusion radius: every query may use every library row
         _warn_if_short(e + 1, len(lib), stacklevel=5)
         skills[e, tp] = pearson_rho(forecast, x[pred.times + tp])
     return skills

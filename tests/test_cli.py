@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,39 @@ class TestSimulate:
 
     def test_usage_error_exit_one(self, tmp_path):
         assert run_cli("simulate", "--seeds", "9:3", "--out", str(tmp_path / "x")) == 1
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--seed", "5", "--seeds", "0:2"), ("--seed", "--seeds")),
+            (("--seeds", "0:2", "--seed", "0"), ("--seed", "--seeds")),
+            (("--seeds", "0:2", "--jobs", "0"), ("--jobs",)),
+            (("--seeds", "0:2", "--jobs", "-3"), ("--jobs",)),
+            (("--seed", "5", "--jobs", "4"), ("--jobs",)),
+            (("--jobs", "1"), ("--jobs",)),
+        ],
+        ids=["seed_seeds", "seeds_seed_0", "jobs_0", "jobs_negative", "jobs_seed", "jobs_alone"],
+    )
+    def test_seed_and_jobs_misuse_exit_one(self, small_config, tmp_path, capsys, flags, named):
+        out = tmp_path / "run"
+        code = run_cli(
+            "simulate", "--config", small_config, *flags, "--steps", "20", "--out", str(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        for flag in named:
+            assert re.search(rf"{flag}(?![\w-])", err), (flag, err)
+        assert not out.exists()
+
+    def test_parallel_sweep_matches_serial(self, small_config, tmp_path):
+        for name, jobs in (("serial", ()), ("parallel", ("--jobs", "2"))):
+            assert run_cli(
+                "simulate", "--config", small_config, "--seeds", "0:2", "--steps", "30",
+                *jobs, "--out", str(tmp_path / name),
+            ) == 0
+        for s in (0, 1):
+            serial, parallel = (tmp_path / name / f"seed_{s}" for name in ("serial", "parallel"))
+            assert frame_digest(serial) == frame_digest(parallel)
 
     @pytest.mark.parametrize(
         "setting, seeds",

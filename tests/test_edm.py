@@ -106,14 +106,11 @@ def loop_reference_smap(lib, queries, theta, exclusion_radius=-1):
     return out
 
 
-def reference_knn(lib, q, k, query_time=None, exclusion_radius=-1):
+def reference_knn(lib, q, k):
     """The single-query knn that the blocked kernel replaced: a full lexsort
     by (distance, row id)."""
     d = np.sqrt(((lib.points - q) ** 2).sum(axis=1))
     ids = np.arange(len(lib))
-    if exclusion_radius >= 0:
-        keep = np.abs(lib.times - int(query_time)) > exclusion_radius
-        d, ids = d[keep], ids[keep]
     if k > ids.size:
         warnings.warn(f"k={k} exceeds usable library size {ids.size}; returning all rows", stacklevel=2)
         k = ids.size
@@ -121,13 +118,13 @@ def reference_knn(lib, q, k, query_time=None, exclusion_radius=-1):
     return ids[order], d[order]
 
 
-def reference_simplex(lib, queries, k=None, exclusion_radius=-1):
+def reference_simplex(lib, queries, k=None):
     """The knn-based simplex loop that the blocked kernel replaced."""
-    pts, times = _points_times(queries)
+    pts, _ = _points_times(queries)
     k = lib.e + 1 if k is None else k
     out = np.empty(len(pts))
     for i, q in enumerate(pts):
-        ids, d = reference_knn(lib, q, k, None if times is None else times[i], exclusion_radius)
+        ids, d = reference_knn(lib, q, k)
         w = np.zeros_like(d)
         if d[0] == 0.0:
             w[d == 0.0] = 1.0
@@ -194,18 +191,6 @@ class TestKnn:
         with pytest.raises(ValueError, match="empty"):
             knn(lib, np.array([0.0]), k=1)
 
-    def test_exclusion_radius(self):
-        lib = embedding_from([[0.0], [0.1], [5.0]], [0, 0, 0], times=[10, 11, 12])
-        nn = knn(lib, np.array([0.0]), k=1, query_time=10, exclusion_radius=1)
-        assert nn.indices.tolist() == [2]
-        with pytest.raises(ValueError, match="every library row"):
-            knn(lib, np.array([0.0]), k=1, query_time=11, exclusion_radius=5)
-
-    def test_exclusion_radius_without_query_time_rejected(self):
-        lib = embedding_from([[0.0], [0.1], [5.0]], [0, 0, 0], times=[10, 11, 12])
-        with pytest.raises(ValueError, match="query times"):
-            knn(lib, np.array([0.0]), k=1, exclusion_radius=0)
-
 
 class TestSimplex:
     def test_exact_match_returns_its_target(self):
@@ -249,12 +234,6 @@ class TestSimplex:
         perm = rng.permutation(40)
         lib2 = embedding_from(pts[perm], tgt[perm], times=np.arange(1, 41)[perm])
         assert np.allclose(simplex_predict(lib2, q), base)
-
-    def test_exclusion_radius_with_plain_array_queries_rejected(self):
-        rng = np.random.default_rng(43)
-        lib = embedding_from(rng.normal(size=(20, 2)), rng.normal(size=20))
-        with pytest.raises(ValueError, match="query times"):
-            simplex_predict(lib, rng.normal(size=(3, 2)), exclusion_radius=2)
 
     def test_affine_equivariance_in_targets(self):
         rng = np.random.default_rng(17)
@@ -454,14 +433,12 @@ class TestBlockedKernelEquivalence:
         return outs
 
     @staticmethod
-    def assert_simplex_matches_loop(lib, queries, k=None, exclusion_radius=-1):
-        got = simplex_predict(lib, queries, k=k, exclusion_radius=exclusion_radius)
-        assert np.array_equal(got, reference_simplex(lib, queries, k, exclusion_radius))
-        pts, times = _points_times(queries)
-        for i, q in enumerate(pts):
-            qt = None if times is None else times[i]
-            nn = knn(lib, q, lib.e + 1 if k is None else k, query_time=qt, exclusion_radius=exclusion_radius)
-            ids, d = reference_knn(lib, q, lib.e + 1 if k is None else k, qt, exclusion_radius)
+    def assert_simplex_matches_loop(lib, queries, k=None):
+        got = simplex_predict(lib, queries, k=k)
+        assert np.array_equal(got, reference_simplex(lib, queries, k))
+        for q in _points_times(queries)[0]:
+            nn = knn(lib, q, lib.e + 1 if k is None else k)
+            ids, d = reference_knn(lib, q, lib.e + 1 if k is None else k)
             assert np.array_equal(nn.indices, ids) and np.array_equal(nn.distances, d)
         return got
 
@@ -544,7 +521,6 @@ class TestBlockedKernelEquivalence:
         self.assert_smap_matches_loop(lib, queries, 2.0)
         self.assert_smap_matches_loop(lib, queries, 2.0, exclusion_radius=4)
         self.assert_simplex_matches_loop(lib, queries)
-        self.assert_simplex_matches_loop(lib, queries, exclusion_radius=4)
 
     def test_library_smaller_than_a_block(self):
         rng = np.random.default_rng(101)
@@ -580,12 +556,6 @@ class TestBlockedKernelEquivalence:
         assert out[0] == (lib.targets[0] + lib.targets[30]) / 2
         assert out[20] == lib.targets[20]
 
-    @pytest.mark.parametrize("radius", [0, 3, 25])
-    def test_simplex_exclusion_radius(self, radius):
-        rng = np.random.default_rng(113)
-        lib = embedding_from(rng.normal(size=(120, 3)), rng.normal(size=120))
-        self.assert_simplex_matches_loop(lib, lib, exclusion_radius=radius)
-
     @pytest.mark.parametrize("k", [6, 9])
     def test_simplex_k_exceeds_library_warns(self, k):
         rng = np.random.default_rng(127)
@@ -600,14 +570,39 @@ class TestBlockedKernelEquivalence:
     def test_simplex_k_equal_to_usable_rows_is_silent(self):
         rng = np.random.default_rng(131)
         lib = embedding_from(rng.normal(size=(12, 2)), rng.normal(size=12))
+        queries = rng.normal(size=(3, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            simplex_predict(lib, rng.normal(size=(3, 2)), k=12)
-            # the window around row 0 removes rows 0-2, leaving 9
-            got = simplex_predict(lib, lib.take(np.arange(1)), k=9, exclusion_radius=2)
-        assert np.array_equal(got, reference_simplex(lib, lib.take(np.arange(1)), k=9, exclusion_radius=2))
-        with pytest.warns(UserWarning, match="k=10 exceeds usable library size 9"):
-            simplex_predict(lib, lib.take(np.arange(1)), k=10, exclusion_radius=2)
+            got = simplex_predict(lib, queries, k=12)
+        assert np.array_equal(got, reference_simplex(lib, queries, k=12))
+
+    @pytest.mark.parametrize("k", [2, 5, 6, 9])
+    def test_nan_query_and_nan_library_row(self, k):
+        # a NaN distance is a candidate like any other and sorts last: every
+        # query still gets exactly min(k, rows) neighbours, none of them -1
+        rng = np.random.default_rng(149)
+        points = rng.normal(size=(6, 2))
+        points[2] = np.nan
+        lib = embedding_from(points, rng.normal(size=6))
+        queries = np.vstack([rng.normal(size=(3, 2)), [np.nan, 0.0], points[4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = simplex_predict(lib, queries, k=k)
+            want = reference_simplex(lib, queries, k=k)
+            for q in queries:
+                nn = knn(lib, q, k)
+                ids, d = reference_knn(lib, q, k)
+                assert nn.indices.shape == (min(k, 6),) and (nn.indices >= 0).all()
+                assert np.array_equal(nn.indices, ids)
+                assert np.array_equal(nn.distances, d, equal_nan=True)
+                finite = np.isfinite(nn.distances)
+                assert not (~finite[:-1] & finite[1:]).any()  # NaN last
+                assert (nn.indices[~finite] == 2).all() or np.isnan(q).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        # the NaN row is taken only when k reaches it, and it makes the
+        # forecast NaN; the NaN query's neighbours are rows 0, 1, ... by id
+        assert np.isnan(got[:3]).tolist() == [k >= 6] * 3
+        assert knn(lib, queries[3], 2).indices.tolist() == [0, 1]
 
 
 @pytest.fixture(scope="module")
