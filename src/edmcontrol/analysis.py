@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .control import CONTROL_EMBEDDING
 from .edm import smap_predict
@@ -246,5 +245,7 @@ def exponential_gof(waits: np.ndarray) -> tuple[float, float]:
         raise ValueError(f"need at least 10 waiting times, got {w.size}")
     if np.any(w <= 0):
         raise ValueError("waiting times must be positive")
+    from scipy import stats  # imported here: it costs most of the package's import time
+
     stat, p = stats.kstest(w, "expon", args=(0.0, float(w.mean())))
     return float(stat), float(p)

@@ -6,14 +6,16 @@ distance from the query and ``D`` the mean distance over the usable rows.  The
 fitted coefficient vector doubles as an estimate of the local Jacobian between
 the target and each state-space coordinate.
 
-Both methods run one blocked kernel, whether they get one query or
-thousands: each block of queries gets its distances and weights in one pass,
-simplex selects neighbours with a partial sort, and the S-map solves each
-query's small Gram system in one batched solve.  S-map queries whose fit is
-degenerate, singular or ill-conditioned fall back to a rank-revealing
-least-squares solve.  Only the S-map takes an exclusion window, for its
-leave-one-out use; simplex forecasts out of sample and may use every
-library row.
+Both methods run one blocked kernel: each block of queries gets its
+distances and weights in one pass, simplex selects neighbours with a partial
+sort, and the S-map solves each query's small Gram system in one batched
+solve.  A single S-map query without an exclusion window, the closed loop's
+one forecast per tick, runs the same operations on 2-D arrays, without the
+block bookkeeping, and gives the block path's result bit for bit.  S-map
+queries whose fit is degenerate, singular or ill-conditioned fall back to a
+rank-revealing least-squares solve.  Only the S-map takes an exclusion
+window, for its leave-one-out use; simplex forecasts out of sample and may
+use every library row.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ def _blocks(n_queries: int, library: Embedding):
     return [slice(i, i + size) for i in range(0, n_queries, size)]
 
 
+def _coordinate_rows(library: Embedding) -> np.ndarray:
+    """The library coordinates one per row (E x N): ``points.T`` itself when
+    each coordinate's values are already contiguous, else a copy that makes
+    them so."""
+    coords = library.points.T
+    if coords.strides[1] != coords.itemsize:
+        coords = np.ascontiguousarray(coords)
+    return coords
+
+
 def _block_distances(coords, pts):
     """Distances from each query to every library row.
 
@@ -141,8 +153,10 @@ def _neighbors(library: Embedding, pts, k: int):
         raise ValueError("k must be >= 1")
     if len(library) == 0:
         raise ValueError("empty library")
-    coords = np.ascontiguousarray(library.points.T)
-    parts = [_nearest(_block_distances(coords, pts[b]), k) for b in _blocks(len(pts), library)]
+    coords = _coordinate_rows(library)
+    # at least one block, so that zero queries give empty (0, min(k, rows)) tables
+    blocks = _blocks(len(pts), library) or [slice(0, 0)]
+    parts = [_nearest(_block_distances(coords, pts[b]), k) for b in blocks]
     ids = np.concatenate([p[0] for p in parts])
     dist = np.concatenate([p[1] for p in parts])
     _warn_if_short(k, len(library), stacklevel=4)
@@ -227,28 +241,27 @@ def _lstsq_fit(library: Embedding, query, dist, keep, theta: float) -> SMapOutpu
     )
 
 
-def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: int):
-    """S-map outputs, plus a mask of the queries the Gram solve took (the
-    others went to :func:`_lstsq_fit`)."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    min_rows = library.e + 2
-    if len(library) < min_rows:
-        raise ValueError(
-            f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
-        )
-    pts, times = _query_points_times(library, queries)
-    if exclusion_radius >= 0 and times is None:
-        raise ValueError("exclusion_radius needs query times: pass an Embedding")
-    # Rows 1, X - mean and y: one stacked product per block gives every
-    # query's weighted Gram matrix and right-hand side.  Centring the
-    # coordinates keeps the intercept column from dominating the Gram matrix.
-    coords = np.ascontiguousarray(library.points.T)
+def _centred(library: Embedding):
+    """The library as the Gram solve reads it: the coordinate rows (E x N),
+    their mean, and the stacked rows ``(1, X - mean, y)``.
+
+    One stacked product of these rows gives a query's weighted Gram matrix
+    and right-hand side.  Centring the coordinates keeps the intercept column
+    from dominating the Gram matrix.
+    """
+    coords = _coordinate_rows(library)
     center = coords.sum(axis=1) / len(library)
     rows = np.empty((library.e + 2, len(library)), dtype=np.float64)
     rows[0] = 1.0
     np.subtract(coords, center[:, None], out=rows[1:-1])
     rows[-1] = library.targets
+    return coords, center, rows
+
+
+def _smap_blocks(library: Embedding, centred, pts, times, theta: float, exclusion_radius: int):
+    """S-map outputs for any number of queries, block by block, plus a mask
+    of the queries the Gram solve took."""
+    coords, center, rows = centred
     design, target = rows[:-1], rows[-1]
     outputs: list[SMapOutput] = []
     solved = np.zeros(len(pts), dtype=bool)
@@ -293,6 +306,55 @@ def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: in
                 kept = None if keep is None else keep[j]
                 outputs.append(_lstsq_fit(library, q[j], dist[j], kept, theta))
     return outputs, solved
+
+
+def _smap_one(library: Embedding, centred, query, theta: float):
+    """One query without an exclusion window: the operations of
+    :func:`_smap_blocks` on 2-D arrays, falling back to :func:`_lstsq_fit`
+    under the same conditions.  Returns the output and whether the Gram
+    solve took it."""
+    coords, center, rows = centred
+    dist = _block_distances(coords, query[None, :])[0]
+    d_mean = dist.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w2 = np.exp(-2.0 * theta * dist / d_mean)
+    moments = (rows * w2) @ rows.T
+    gram, rhs = moments[:-1, :-1], moments[:-1, -1]
+    diag = np.diagonal(gram)
+    if d_mean > 0.0 and (diag > 0.0).all():
+        s = 1.0 / np.sqrt(diag)
+        scaled = gram * s[:, None] * s[None, :]
+        eig = np.linalg.eigvalsh(scaled)
+        if eig[0] > eig[-1] / _GRAM_COND_MAX:
+            design, target = rows[:-1], rows[-1]
+            c = s * np.linalg.solve(scaled, (s * rhs)[:, None])[:, 0]
+            resid = (target - c @ design) * w2
+            c += s * np.linalg.solve(scaled, (s * (resid @ design.T))[:, None])[:, 0]
+            coef = c.copy()
+            coef[0] -= c[1:] @ center
+            return SMapOutput(c[0] + ((query - center) * c[1:]).sum(), coef), True
+    return _lstsq_fit(library, query, dist, None, theta), False
+
+
+def _smap_kernel(library: Embedding, queries, theta: float, exclusion_radius: int):
+    """S-map outputs, plus a mask of the queries the Gram solve took (the
+    others went to :func:`_lstsq_fit`).  A single query without an exclusion
+    window takes :func:`_smap_one`, every other call :func:`_smap_blocks`."""
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
+    min_rows = library.e + 2
+    if len(library) < min_rows:
+        raise ValueError(
+            f"library has {len(library)} rows; S-map needs at least {min_rows} for e={library.e}"
+        )
+    pts, times = _query_points_times(library, queries)
+    if exclusion_radius >= 0 and times is None:
+        raise ValueError("exclusion_radius needs query times: pass an Embedding")
+    centred = _centred(library)
+    if len(pts) == 1 and exclusion_radius < 0:
+        output, solved = _smap_one(library, centred, pts[0], theta)
+        return [output], np.array([solved])
+    return _smap_blocks(library, centred, pts, times, theta, exclusion_radius)
 
 
 def smap_predict(

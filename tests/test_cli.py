@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ def small_config(tmp_path):
     path = tmp_path / "small.cfg"
     path.write_text(SMALL_CFG)
     return str(path)
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; only exponential_gof needs it
+    code = "import sys, edmcontrol.cli\nassert 'scipy.stats' not in sys.modules\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def run_cli(*argv):
@@ -347,6 +356,28 @@ class TestGoldenFrames:
             ) == 0
             assert frame_digest(out) == GOLDEN_UNLIMITED, name
 
+
+# SHA-256 of frame.csv from `simulate --config SMALL_CFG --steps 300 --control on`;
+# they pin the closed loop (ABM, controller library and S-map) byte for byte.
+GOLDEN_CONTROLLED_FRAMES = {
+    ("constant", 0): "8b3f5f65bfd7b857613619a0db08a74579abcd1191359d427420c0afb164d092",
+    ("constant", 1): "6abc6a65ba47966308b8506581c6c2ddf8bf70a2fadb16f1e015bca535d9971c",
+    ("constant", 2): "700e4a74c4c737e84a25c3b8d8e76088acb9c7f0692b210f818f90cdacb8276c",
+    ("random", 0): "9f4833c3577be5bf1dad5f4c35e8dcbf62f25d2610c2b166e087491079244350",
+    ("random", 1): "45b65ea01e10c2536626b3f3ec68195a0ed3fcdad071dbdfa2273cfb2dfcf319",
+    ("random", 2): "1315904f9f83432eed719006116cb192f2e6a94b26c3694ac8a5d55a8f6a64e2",
+}
+
+
+class TestGoldenControlledFrames:
+    @pytest.mark.parametrize("legitimacy,seed", sorted(GOLDEN_CONTROLLED_FRAMES))
+    def test_frame_digest(self, small_config, tmp_path, legitimacy, seed):
+        out = tmp_path / "run"
+        assert run_cli(
+            "simulate", "--config", small_config, "--seed", str(seed), "--steps", "300",
+            "--control", "on", "--legitimacy", legitimacy, "--out", str(out),
+        ) == 0
+        assert frame_digest(out) == GOLDEN_CONTROLLED_FRAMES[legitimacy, seed]
 
 # SHA-256 of scan.csv from `scan --generate --config SMALL_CFG --steps 400` with
 # `--mode E --e-max 6 --tp 2` and `--mode Tp --e 3 --tp-max 6`; they pin the

@@ -15,7 +15,17 @@ from edmcontrol.control import (
     make_legitimacy_schedule,
     propaganda_response,
 )
-from edmcontrol.timeseries import Frame
+from edmcontrol import control
+from edmcontrol.abm import run_scenario
+from edmcontrol.config import controller_params, loop_config, resolve, world_params
+from edmcontrol.edm import smap_predict
+from edmcontrol.scenarios import legitimacy_profile, standard_run
+from edmcontrol.timeseries import (
+    EmbeddingSpec,
+    Frame,
+    build_generalized_embedding,
+    build_state_vector,
+)
 
 PAPER = ControllerParams()  # p_min 0.06, p_max 0.6, slope 0.05, midpoint 50
 
@@ -176,3 +186,110 @@ class TestClosedLoop:
         d = ctl(hist)
         assert d.engaged
         assert d.propaganda == pytest.approx(propaganda_response(35.0, PAPER), abs=1e-12)
+
+
+def small_cfg():
+    cfg = dict(resolve())
+    cfg.update(
+        grid_width=20, grid_height=20, n_citizens=120, n_cops=12, vision=3.0,
+        legitimacy=0.7, jail_capacity=60, warmup_ticks=60, schedule_changes=5,
+    )
+    return cfg
+
+
+def prefix(frame, n, columns=None):
+    """The first ``n`` ticks of ``frame`` as views, the way the loop passes history."""
+    cols = frame.columns if columns is None else columns
+    return Frame(frame.time[:n], {k: v[:n] for k, v in cols.items() if k != "forecast_active"})
+
+
+def assert_library_matches_embedding(controller, history):
+    lib = controller.library.embedding(history)
+    ref = build_generalized_embedding(history, controller.config.spec)
+    assert np.array_equal(lib.points, ref.points)
+    assert np.array_equal(lib.targets, ref.targets)
+    assert np.array_equal(lib.times, ref.times)
+
+
+class TestKeptLibrary:
+    """EdmController keeps its library across ticks; every decision equals
+    the one a fresh controller computes from the whole history."""
+
+    CFG = small_cfg()
+
+    def controller(self):
+        return EdmController(loop_config(self.CFG), controller_params(self.CFG))
+
+    def assert_fresh(self, controller, history):
+        decision = controller(history)
+        assert decision == closed_loop_controller(history, controller.config, controller.params)
+        if decision.engaged:
+            assert_library_matches_embedding(controller, history)
+        return decision
+
+    def test_every_tick_of_a_run_matches_the_fresh_decision(self, monkeypatch):
+        controller = self.controller()
+        config = controller.config
+        spans = []
+        append = control._GrowingLibrary._append
+
+        def spy(library, history, stop):
+            if library is controller.library:
+                spans.append((library._next, stop))
+            append(library, history, stop)
+
+        monkeypatch.setattr(control._GrowingLibrary, "_append", spy)
+
+        def checked(history):
+            decision = self.assert_fresh(controller, history)
+            if decision.engaged:
+                # the embedding the controller built every tick before it kept a library
+                ref = smap_predict(
+                    build_generalized_embedding(history, config.spec),
+                    build_state_vector(history, config.spec)[None, :],
+                    config.theta,
+                )[0]
+                assert decision.forecast == ref.prediction
+            return decision
+
+        world_ss, schedule_ss = np.random.SeedSequence(0).spawn(2)
+        leg = legitimacy_profile(self.CFG, schedule_ss, 300, "random")
+        frame = run_scenario(world_params(self.CFG), 300, world_ss, legitimacy=leg, controller=checked)
+        want = standard_run(self.CFG, 0, 300, control=True, legitimacy_mode="random")
+        for name in want.columns:
+            assert np.array_equal(frame.column(name), want.column(name), equal_nan=True), name
+        # built once at the end of the warmup, then extended tick by tick
+        spec = config.spec
+        assert spans[0] == (spec.max_lag, self.CFG["warmup_ticks"] - spec.tp)
+        assert all(start == stop for (_, stop), (start, _) in zip(spans, spans[1:]))
+        assert spans[-1][1] == 300 - spec.tp
+
+    def test_history_that_does_not_extend_rebuilds(self):
+        a = standard_run(self.CFG, 0, 200, control=False, legitimacy_mode="random")
+        b = standard_run(self.CFG, 1, 200, control=False, legitimacy_mode="random")
+        controller = self.controller()
+        for n in range(60, 150):
+            self.assert_fresh(controller, prefix(a, n))
+        # a new run from tick 1
+        for n in (60, 61, 120):
+            self.assert_fresh(controller, prefix(b, n))
+        # a frame of the same length with different values
+        self.assert_fresh(controller, prefix(a, 120))
+        # a shorter prefix of the same buffers, then longer again
+        self.assert_fresh(controller, prefix(a, 90))
+        self.assert_fresh(controller, prefix(a, 100))
+        # a frame with a NaN row: the rows that read it are dropped
+        cols = {k: v.copy() for k, v in a.columns.items()}
+        cols["jailed"][100] = np.nan
+        history = prefix(a, 150, cols)
+        decision = self.assert_fresh(controller, history)
+        assert decision.engaged and math.isfinite(decision.forecast)
+        # origins 4..144, less the three whose lags 0, 2 and 4 read tick position 100
+        assert len(controller.library.embedding(history)) == 141 - 3
+
+    def test_library_spec_must_match(self):
+        history = constant_history(60, active=35.0)
+        spec = EmbeddingSpec(coordinates=(("jailed", 0), ("quiet", 0)), target="active", tp=5)
+        library = EdmController(LoopConfig(warmup_ticks=40), PAPER).library
+        with pytest.raises(ValueError, match="different embedding spec"):
+            closed_loop_controller(history, LoopConfig(warmup_ticks=40, spec=spec), PAPER, library)

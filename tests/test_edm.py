@@ -243,6 +243,13 @@ class TestSimplex:
         assert np.allclose(simplex_predict(shifted, q), simplex_predict(lib, q) + 11.0)
 
 
+    def test_zero_queries_give_an_empty_array(self):
+        rng = np.random.default_rng(151)
+        lib = embedding_from(rng.normal(size=(20, 2)), rng.normal(size=20))
+        got = simplex_predict(lib, np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
 class TestSmap:
     def test_theta_zero_equals_ols(self):
         rng = np.random.default_rng(19)
@@ -603,6 +610,85 @@ class TestBlockedKernelEquivalence:
         # forecast NaN; the NaN query's neighbours are rows 0, 1, ... by id
         assert np.isnan(got[:3]).tolist() == [k >= 6] * 3
         assert knn(lib, queries[3], 2).indices.tolist() == [0, 1]
+
+
+class TestOneQueryBranch:
+    """One query without an exclusion window takes ``_smap_one``; its output
+    equals the block path's on the same query bit for bit.
+
+    The block path is run on that single query, not on the query stacked
+    with a copy of itself: with two queries in a block its refinement step
+    takes matrix-matrix products where one query takes matrix-vector
+    products, so it agrees with its own one-query result only to rounding.
+    """
+
+    @staticmethod
+    def assert_branches_agree(lib, q, theta):
+        (one,), solved = edm._smap_kernel(lib, q[None, :], theta, -1)
+        (block,), block_solved = edm._smap_blocks(lib, edm._centred(lib), q[None, :], None, theta, -1)
+        assert np.array_equal(
+            np.append(one.coefficients, one.prediction),
+            np.append(block.coefficients, block.prediction),
+            equal_nan=True,
+        )
+        assert (one.rank_deficient, one.degenerate) == (block.rank_deficient, block.degenerate)
+        assert solved.tolist() == block_solved.tolist()
+        public = smap_predict(lib, q[None, :], theta)[0]
+        assert np.array_equal(public.coefficients, one.coefficients, equal_nan=True)
+        return one, bool(solved[0])
+
+    def test_random_libraries(self):
+        rng = np.random.default_rng(157)
+        for i in range(42):
+            n = int(rng.integers(10, 400))
+            e = 1 + i % 7
+            theta = 0.0 if i % 6 == 0 else float(rng.uniform(0.0, 9.0))
+            points = rng.normal(size=(n, e)) * 10 + 50
+            if i % 2:  # integer counts, and rows stored one per coordinate as the controller keeps them
+                points = np.asfortranarray(np.round(points))
+            lib = embedding_from(points, rng.normal(size=n))
+            for q in rng.normal(size=(3, e)) * 10 + 50:
+                self.assert_branches_agree(lib, q, theta)
+
+    def test_collinear_library(self):
+        rng = np.random.default_rng(79)
+        x = rng.normal(size=60)
+        lib = embedding_from(np.column_stack([x, 2 * x, -x]), rng.normal(size=60))
+        for theta in (0.0, 2.0, 9.0):
+            out, solved = self.assert_branches_agree(lib, rng.normal(size=3), theta)
+            assert out.rank_deficient and not solved
+
+    def test_constant_column(self):
+        rng = np.random.default_rng(83)
+        quiet = rng.integers(50, 90, size=80).astype(float)
+        lib = embedding_from(np.column_stack([np.full(80, 60.0), quiet]), rng.normal(size=80))
+        for theta in (0.0, 2.0, 9.0):
+            out, solved = self.assert_branches_agree(lib, np.array([60.0, 70.0]), theta)
+            assert out.rank_deficient and not solved
+
+    def test_coincident_library(self):
+        lib = embedding_from(np.full((8, 3), 0.25), np.arange(8.0))
+        out, solved = self.assert_branches_agree(lib, np.full(3, 0.25), 3.0)
+        assert out.degenerate and not solved
+
+    def test_ill_conditioned_library(self):
+        rng = np.random.default_rng(137)
+        x = rng.normal(size=200)
+        z = rng.normal(size=200)
+        pts = np.column_stack([x, x + 1e-6 * rng.normal(size=200), z])
+        lib = embedding_from(pts, x + z + 0.1 * rng.normal(size=200))
+        for theta in (0.0, 3.0):
+            out, solved = self.assert_branches_agree(lib, rng.normal(size=3), theta)
+            assert not out.rank_deficient and not solved
+
+    def test_coordinate_rows_are_read_in_place(self):
+        rng = np.random.default_rng(167)
+        rows = rng.normal(size=(3, 50))
+        kept = embedding_from(rows[:, :40].T, rng.normal(size=40))
+        assert np.shares_memory(edm._coordinate_rows(kept), rows)
+        stored = embedding_from(rows.T.copy(), rng.normal(size=50))
+        coords = edm._coordinate_rows(stored)
+        assert coords.flags.c_contiguous and not np.shares_memory(coords, stored.points)
 
 
 @pytest.fixture(scope="module")

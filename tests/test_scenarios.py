@@ -95,3 +95,21 @@ def test_paper_scale_uncontrolled_frame_digest(tmp_path, seed):
     path = tmp_path / "frame.csv"
     write_frame_csv(frame, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_SCALE_FRAMES[seed]
+
+
+# The same runs with the controller on: the closed loop at paper scale, 1501
+# engaged decisions per run against a library that grows to 2991 rows.
+PAPER_SCALE_CONTROLLED_FRAMES = {
+    0: "394e5f40548cdf8b6c70a3dddfa13527956764ec22abc389e1b55009f89fd3a0",
+    1: "39a1b8e6342a19283c6002d1bdb51c556ce2ba597efff018e4a7d80b6c73df91",
+    2: "a11b6e7b22988dfe5ba6397503ec8cd0ad69229be73c90e42f2fc6db16728ca7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_SCALE_CONTROLLED_FRAMES))
+def test_paper_scale_controlled_frame_digest(tmp_path, seed):
+    cfg = resolve(overrides={"warmup_ticks": 1500})
+    frame = standard_run(cfg, seed, 3000, control=True, legitimacy_mode="random")
+    path = tmp_path / "frame.csv"
+    write_frame_csv(frame, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PAPER_SCALE_CONTROLLED_FRAMES[seed]
