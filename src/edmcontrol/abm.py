@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .timeseries import Frame
 
@@ -69,7 +68,6 @@ class WorldParams:
     jail_capacity: int | None = 470
     legitimacy: float = 0.84
     propaganda: float = 0.1
-    cop_ratio_mode: str = "neighborhood"
 
     def __post_init__(self):
         if self.grid_width < 1 or self.grid_height < 1:
@@ -86,8 +84,6 @@ class WorldParams:
             raise ValueError("legitimacy must lie in (0, 1]")
         if self.propaganda < 0.0:
             raise ValueError("propaganda must be >= 0")
-        if self.cop_ratio_mode not in ("neighborhood", "cell"):
-            raise ValueError("cop_ratio_mode must be 'neighborhood' or 'cell'")
 
     @property
     def n_cells(self) -> int:
@@ -118,13 +114,25 @@ class TickObservation:
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Tables for one ``(width, height, vision)``; none grows as cells squared."""
+    """Tables for one ``(width, height, vision)``; none grows as cells squared.
+
+    ``disc_segments`` stamps vision discs onto two grids, cops then Actives,
+    laid out row after row in rows of ``width + 2r + 1`` cells: the grid's
+    columns, then ``2r`` overhang columns standing for columns ``0..2r-1``
+    again, then one spare column.  A disc's row segment starts at its left
+    end's torus column, so no segment wraps and none starts in the spare
+    column.  Row ``c`` of the table (a cop-grid cell, or ``n_cells + c`` for
+    the same cell on the Active grid) holds the flat start indices of the
+    2r + 1 row segments of the disc centred on that cell, then their
+    one-past-end indices offset by the two grids' size.
+    """
 
     move_offsets: np.ndarray  # (n, 2) nonzero (dx, dy) within vision
     sx: np.ndarray  # (width, width) squared torus distance between columns
     sy: np.ndarray  # (height, height) squared torus distance between rows
     reach: int  # largest integer squared distance within vision
-    disc_fft: np.ndarray  # rfft2 of the (height, width) vision-disc mask
+    radius: int  # r, the integer part of vision
+    disc_segments: np.ndarray  # (2 * n_cells, 2 * (2r + 1)) segment starts, then ends
 
 
 def _squared_torus_distances(n: int) -> np.ndarray:
@@ -142,28 +150,20 @@ def _geometry(width: int, height: int, vision: float) -> _Geometry:
         for dy in range(-r, r + 1)
         if 0 < dx * dx + dy * dy <= reach
     ]
+    stride = width + 2 * r + 1
+    size = height * stride  # one stamped grid
+    dys = np.arange(-r, r + 1)
+    half = np.array([math.isqrt(reach - dy * dy) for dy in dys])  # segment half-widths
+    x = np.tile(np.arange(width), height)[:, None]
+    rows = (np.repeat(np.arange(height), width)[:, None] + dys) % height
+    starts = rows * stride + (x - half) % width
+    ends = starts + 2 * half + 1
+    cop = np.hstack([starts, ends + 2 * size])
+    active = np.hstack([starts + size, ends + 3 * size])
+    segments = np.vstack([cop, active]).astype(np.intp)
     sx = _squared_torus_distances(width)
     sy = _squared_torus_distances(height)
-    # mask[y, x] = 1 where cell (x, y) lies in the disc centred on (0, 0)
-    mask = (sy[0][:, None] + sx[0][None, :] <= reach).astype(np.float64)
-    return _Geometry(np.array(offs, dtype=np.int64), sx, sy, reach, scipy.fft.rfft2(mask))
-
-
-def _disc_sums(grids: np.ndarray, vision: float) -> np.ndarray:
-    """Torus sum over the vision disc centred at every cell of each grid.
-
-    ``grids`` holds one or more ``(height, width)`` grids of non-negative
-    integer counts in its last two axes.  The sum is the circular
-    convolution of each grid with the (symmetric) disc mask, done as one
-    real FFT product.  Rounding back to integers is exact: every true sum is
-    an integer no larger than the grid total (at most the agent count), and
-    the FFT's floating-point error on such sums is many orders of magnitude
-    below 0.5.
-    """
-    height, width = grids.shape[-2:]
-    kernel = _geometry(width, height, vision).disc_fft
-    spectrum = scipy.fft.rfft2(grids) * kernel
-    return np.rint(scipy.fft.irfft2(spectrum, s=(height, width))).astype(np.int64)
+    return _Geometry(np.array(offs, dtype=np.int64), sx, sy, reach, r, segments)
 
 
 @dataclass
@@ -252,21 +252,32 @@ def citizen_behavior(hardship, risk_aversion, arrest_prob, gov: GovState):
 
 
 def _neighborhood_counts(world: WorldState) -> np.ndarray:
-    """Cop and Active counts seen from every cell (vision disc or single cell).
+    """Cop and Active counts within the vision disc of every cell.
 
-    Returns a ``(2, n_cells)`` stack: cop counts, then Active counts.
+    Returns a ``(2, n_cells)`` stack: cop counts, then Active counts.  Each
+    cop and each Active stamps the row segments of the disc centred on its
+    cell: one ``bincount`` of the segments' starts minus ends, then one
+    running sum over the two stamped grids, gives every cell the number of
+    discs covering it.  A row's marks sum to zero, so nothing carries from
+    one row into the next.  The ``2r`` overhang columns then fold back onto
+    the torus.  The counts are exact integers, and their cost grows with
+    cops plus Actives, not with cells.
     """
     p = world.params
-    cop_cells = world.cop_y * p.grid_width + world.cop_x
-    active_mask = world.citizen_state == STATE_ACTIVE
-    act_cells = (world.citizen_y * p.grid_width + world.citizen_x)[active_mask]
-    grids = np.bincount(
-        np.concatenate([cop_cells, act_cells + p.n_cells]), minlength=2 * p.n_cells
-    )
-    if p.cop_ratio_mode == "cell":
-        return grids.reshape(2, p.n_cells)
-    stack = grids.reshape(2, p.grid_height, p.grid_width)
-    return _disc_sums(stack, p.vision).reshape(2, p.n_cells)
+    width, height = p.grid_width, p.grid_height
+    geo = _geometry(width, height, p.vision)
+    cop_cells = world.cop_y * width + world.cop_x
+    active = world.citizen_state == STATE_ACTIVE
+    act_cells = (world.citizen_y * width + world.citizen_x)[active]
+    cells = np.concatenate([cop_cells, act_cells + p.n_cells])
+    r = geo.radius
+    stride = width + 2 * r + 1
+    size = 2 * height * stride
+    marks = np.bincount(geo.disc_segments[cells].ravel(), minlength=2 * size)
+    cover = np.cumsum(marks[:size] - marks[size:]).reshape(2, height, stride)
+    counts = cover[:, :, :width].copy()
+    counts[:, :, : 2 * r] += cover[:, :, width : width + 2 * r]
+    return counts.reshape(2, p.n_cells)
 
 
 def _enforce(world: WorldState) -> list[int]:

@@ -464,11 +464,86 @@ def _cmd_replay(ns) -> int:
         raise DataError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest: {exc}") from exc
-    command = manifest.get("command")
+    command = manifest.get("command") if type(manifest) is dict else None
     if command not in _COMMANDS:
         raise DataError(f"manifest names unknown command {command!r}")
-    _run_command(command, manifest["args"], ns.out)
+    _run_command(command, _replay_args(command, manifest.get("args")), ns.out)
     return EXIT_OK
+
+
+def _is(*types):
+    return lambda value: type(value) in types  # exact, so that a bool is not an int
+
+
+def _one_of(*choices):
+    return lambda value: value in choices
+
+
+def _is_range(value) -> bool:
+    return type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
+
+
+def _is_coords(value) -> bool:
+    return type(value) is list and all(
+        type(c) is list and len(c) == 2 and type(c[0]) is str and type(c[1]) is int
+        for c in value
+    )
+
+
+_INT, _FLOAT, _BOOL, _STR, _CONFIG = _is(int), _is(float, int), _is(bool), _is(str), _is(dict)
+_LEGITIMACY = _one_of("constant", "random", "random-full")
+
+# The args each command records, with a check of each value's form.  A
+# config's keys and values are checked by coerce.
+_REPLAY_ARGS = {
+    "simulate": {
+        "seed": _INT, "steps": _INT, "control": _BOOL, "legitimacy": _LEGITIMACY, "config": _CONFIG,
+    },
+    "scan": {
+        "mode": _one_of(*_SCAN_MODE_FLAGS), "data": _is(str, type(None)), "column": _STR,
+        "split": _FLOAT, "e_max": _INT, "e": _INT, "tp": _INT, "tp_max": _INT,
+        "seed": _INT, "steps": _INT, "config": _CONFIG,
+    },
+    "forecast": {
+        "data": _STR, "coords": _is_coords, "target": _STR, "tp": _INT, "lib": _is_range,
+        "pred": _is_range, "theta": _is(float, int, type(None)),
+    },
+    "analyze": {
+        "data": _STR, "jacobian": _BOOL, "partition": _BOOL, "trapped": _BOOL, "config": _CONFIG,
+    },
+    "export-comparison": {
+        "seed": _INT, "steps": _INT, "legitimacy": _LEGITIMACY, "train": _is_range,
+        "test": _is_range, "config": _CONFIG,
+    },
+}
+
+
+def _replay_args(command: str, args) -> dict:
+    """A manifest's ``args``, refused unless ``command`` reads every key and
+    each value has the form the command records; config values are parsed
+    through :func:`coerce`, as a config file's are."""
+    if type(args) is not dict:
+        raise DataError("manifest args must be an object")
+    checks = _REPLAY_ARGS[command]
+    reads = set(checks)
+    if command == "scan":  # the flags of its mode, and the generated run's keys without --data
+        reads -= {"e_max", "e", "tp", "tp_max"} - set(_SCAN_MODE_FLAGS.get(args.get("mode"), ()))
+        if args.get("data") is not None:
+            reads -= {"config", "seed", "steps"}
+    for key, value in args.items():
+        if key not in reads:
+            raise DataError(f"manifest args key {key!r} is not read by {command}")
+        if not checks[key](value):
+            raise DataError(f"manifest args key {key!r} has an invalid value {value!r}")
+    if "config" not in args:
+        return args
+    config = {}
+    for key, value in args["config"].items():
+        try:
+            config[key] = coerce(key, str(value))
+        except ValueError as exc:
+            raise DataError(f"manifest config: {exc}") from None
+    return {**args, "config": config}
 
 
 _COMMANDS = {

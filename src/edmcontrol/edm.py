@@ -219,7 +219,10 @@ def _lstsq_fit(library: Embedding, query, dist, keep, theta: float) -> SMapOutpu
 
     Takes the fits the Gram solve does not: all usable rows at the query
     (``D = 0``, flagged degenerate: mean target, zero slopes), singular and
-    ill-conditioned ones.  It returns the minimum-norm solution.
+    ill-conditioned ones.  It returns the minimum-norm solution.  A
+    non-finite distance mean (a NaN or infinite coordinate in the query or a
+    used library row) leaves no weights to fit with: the prediction and
+    coefficients are NaN.
     """
     a = np.empty((len(library), library.e + 1), dtype=np.float64)
     a[:, 0] = 1.0
@@ -228,6 +231,8 @@ def _lstsq_fit(library: Embedding, query, dist, keep, theta: float) -> SMapOutpu
     if keep is not None:
         dist, a, y = dist[keep], a[keep], y[keep]
     d_mean = float(dist.mean())
+    if not math.isfinite(d_mean):
+        return SMapOutput(math.nan, np.full(library.e + 1, math.nan))
     if d_mean == 0.0:
         coef = np.zeros(library.e + 1)
         coef[0] = float(y.mean())

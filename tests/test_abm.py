@@ -14,8 +14,8 @@ from edmcontrol.abm import (
     STATE_QUIET,
     GovState,
     WorldParams,
+    WorldState,
     arrest_probability,
-    _disc_sums,
     _enforce,
     _neighborhood_counts,
     citizen_behavior,
@@ -26,8 +26,8 @@ from edmcontrol.abm import (
 )
 
 # Test-only references: a fresh torus-distance matrix per call, disc sums from
-# row segments, and enforcement that loops over every cop.  The step's cached
-# tables and FFT disc sums must reproduce them exactly.
+# wrapped row cumulative sums, and enforcement that loops over every cop.  The
+# step's cached tables and stamped row segments must reproduce them exactly.
 
 
 def _torus_within(ax, ay, x, y, width, height, vision) -> np.ndarray:
@@ -54,6 +54,21 @@ def row_segment_disc_sums(grids, vision):
         padded = np.concatenate([seg[..., height - r :, :], seg, seg[..., :r, :]], axis=-2)
         out += padded[..., r + dy : r + dy + height, :]
     return out
+
+
+def reference_neighborhood_counts(world):
+    """Cop and Active counts from the agents' count grids and their disc sums."""
+    p = world.params
+    active = world.citizen_state == STATE_ACTIVE
+    grids = np.stack(
+        [
+            np.bincount(world.cop_y * p.grid_width + world.cop_x, minlength=p.n_cells),
+            np.bincount(
+                (world.citizen_y * p.grid_width + world.citizen_x)[active], minlength=p.n_cells
+            ),
+        ]
+    ).reshape(2, p.grid_height, p.grid_width)
+    return row_segment_disc_sums(grids, p.vision).reshape(2, p.n_cells)
 
 
 def reference_enforce(world):
@@ -322,28 +337,22 @@ class TestNeighborhoodCounts:
         acts = np.zeros(p.n_cells, dtype=np.int64)
         for cell in range(p.n_cells):
             x, y = cell % p.grid_width, cell // p.grid_width
-            if p.cop_ratio_mode == "cell":
-                cops[cell] = np.sum((w.cop_x == x) & (w.cop_y == y))
-                acts[cell] = np.sum(active & (w.citizen_x == x) & (w.citizen_y == y))
-            else:
-                args = (x, y, p.grid_width, p.grid_height, p.vision)
-                cops[cell] = _torus_within(w.cop_x, w.cop_y, *args).sum()
-                acts[cell] = _torus_within(w.citizen_x, w.citizen_y, *args)[active].sum()
+            args = (x, y, p.grid_width, p.grid_height, p.vision)
+            cops[cell] = _torus_within(w.cop_x, w.cop_y, *args).sum()
+            acts[cell] = _torus_within(w.citizen_x, w.citizen_y, *args)[active].sum()
         return cops, acts
 
-    @pytest.mark.parametrize("mode", ["neighborhood", "cell"])
     @pytest.mark.parametrize(
         "width,height,vision",
         [(20, 20, 3.0), (17, 11, 2.5), (9, 13, 4.0), (14, 7, 3.0)],
     )
-    def test_matches_brute_force(self, mode, width, height, vision):
+    def test_matches_brute_force(self, width, height, vision):
         p = WorldParams(
             grid_width=width,
             grid_height=height,
             n_citizens=width * height // 2,
             n_cops=width * height // 8,
             vision=vision,
-            cop_ratio_mode=mode,
         )
         for seed in range(3):
             w = init_world(p, seed=seed)
@@ -360,25 +369,69 @@ class TestNeighborhoodCounts:
 EQUIVALENCE_GEOMETRIES = [(40, 40, 7.0), (20, 20, 3.0), (17, 11, 2.5), (9, 13, 4.0), (14, 7, 3.0)]
 
 
+def world_on_cells(width, height, vision, cop_cells, citizen_cells, states):
+    """A world with cops and citizens on the given flat cells, several to a
+    cell allowed; only what the neighbour counts read is filled in."""
+    p = WorldParams(
+        grid_width=width,
+        grid_height=height,
+        n_citizens=len(citizen_cells),
+        n_cops=len(cop_cells),
+        vision=vision,
+    )
+    n = p.n_citizens
+    return WorldState(
+        params=p,
+        t=0,
+        gov=GovState(p.legitimacy, p.propaganda),
+        citizen_x=citizen_cells % width,
+        citizen_y=citizen_cells // width,
+        citizen_state=np.asarray(states, dtype=np.int8),
+        risk_aversion=np.zeros(n),
+        hardship=np.zeros(n),
+        jail_remaining=np.zeros(n, dtype=np.int64),
+        cop_x=cop_cells % width,
+        cop_y=cop_cells // width,
+        rng=np.random.default_rng(0),
+    )
+
+
 class TestDiscSumsEquivalence:
+    """The stamped row segments equal the disc sums of the agents' count grids."""
+
+    @staticmethod
+    def assert_matches_reference(world):
+        counts = _neighborhood_counts(world)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, reference_neighborhood_counts(world))
+
     @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
     def test_random_stacks_match_row_segments(self, width, height, vision):
         rng = np.random.default_rng(width * height)
         for n_agents in (1, width * height // 3, 1200):
-            cells = rng.integers(0, width * height, size=(2, n_agents))
-            stack = np.stack([np.bincount(c, minlength=width * height) for c in cells])
-            stack = stack.reshape(2, height, width)
-            assert np.array_equal(_disc_sums(stack, vision), row_segment_disc_sums(stack, vision))
+            cops, citizens = rng.integers(0, width * height, size=(2, n_agents))
+            states = rng.integers(0, 3, n_agents)
+            self.assert_matches_reference(
+                world_on_cells(width, height, vision, cops, citizens, states)
+            )
 
     @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
     def test_every_agent_on_one_cell(self, width, height, vision):
         for y, x in [(0, 0), (height // 2, width // 2), (height - 1, width - 1)]:
-            stack = np.zeros((2, height, width), dtype=np.int64)
-            stack[0, y, x] = 1200
-            stack[1, height - 1 - y, x] = 1120
-            sums = _disc_sums(stack, vision)
-            assert sums.dtype == np.int64
-            assert np.array_equal(sums, row_segment_disc_sums(stack, vision))
+            cops = np.full(1200, y * width + x)
+            citizens = np.full(1120, (height - 1 - y) * width + x)
+            states = np.full(1120, STATE_ACTIVE)
+            world = world_on_cells(width, height, vision, cops, citizens, states)
+            self.assert_matches_reference(world)
+            assert _neighborhood_counts(world).max() == 1200
+
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_every_citizen_active(self, width, height, vision):
+        rng = np.random.default_rng(width + height)
+        cops = rng.integers(0, width * height, 80)
+        citizens = rng.integers(0, width * height, 1120)
+        states = np.full(1120, STATE_ACTIVE)
+        self.assert_matches_reference(world_on_cells(width, height, vision, cops, citizens, states))
 
 
 class TestEnforceEquivalence:
@@ -450,7 +503,7 @@ class TestEnforceEquivalence:
     def test_whole_runs_match_reference_paths(self, monkeypatch):
         fast = [run_scenario(SMALL, 300, seed=s, legitimacy=0.6) for s in range(3)]
         monkeypatch.setattr(abm, "_enforce", reference_enforce)
-        monkeypatch.setattr(abm, "_disc_sums", row_segment_disc_sums)
+        monkeypatch.setattr(abm, "_neighborhood_counts", reference_neighborhood_counts)
         for s, frame in enumerate(fast):
             ref = run_scenario(SMALL, 300, seed=s, legitimacy=0.6)
             assert ref.column("jailed").max() > 0

@@ -44,6 +44,27 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_controlled_run_loads_no_scipy():
+    # neither the ABM's neighbour counts nor the controller needs scipy; a
+    # lazy import in the step would only move the import's cost into it
+    code = (
+        "import sys, edmcontrol.cli\n"
+        "from edmcontrol.config import resolve\n"
+        "from edmcontrol.scenarios import standard_run\n"
+        "cfg = resolve(None, dict(grid_width=20, grid_height=20, n_citizens=120, n_cops=12,"
+        " vision=3.0, jail_capacity=60, warmup_ticks=60, schedule_changes=5))\n"
+        "frame = standard_run(cfg, seed=0, steps=90, control=True, legitimacy_mode='random')\n"
+        "assert (frame.column('propaganda')[61:] != frame.column('propaganda')[0]).any()\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -85,9 +106,7 @@ class TestConfig:
         assert load_config(path)["jail_capacity"] is None
 
     @pytest.mark.parametrize("source", ["--set", "--config"])
-    @pytest.mark.parametrize(
-        "key,value", [("grid_width", "none"), ("cop_ratio_mode", "none"), ("grid_width", "4.5")]
-    )
+    @pytest.mark.parametrize("key,value", [("grid_width", "none"), ("grid_width", "4.5")])
     def test_bad_value_exit_one_names_key(self, tmp_path, capsys, source, key, value):
         if source == "--set":
             flags = ("--set", f"{key}={value}")
@@ -154,6 +173,54 @@ class TestSimulate:
         second = tmp_path / "second"
         assert run_cli("replay", str(first / "manifest.json"), "--out", str(second)) == 0
         assert (first / "frame.csv").read_bytes() == (second / "frame.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("args", "bogus", 1),
+            ("config", "not_a_key", 3),
+            ("args", "steps", "abc"),
+            ("args", "control", 1),
+            ("config", "n_cops", "many"),
+            ("config", "grid_width", 4.5),
+        ],
+    )
+    def test_replay_refuses_what_it_cannot_apply(
+        self, small_config, tmp_path, capsys, section, key, value
+    ):
+        first = tmp_path / "first"
+        assert run_cli(
+            "simulate", "--config", small_config, "--steps", "20", "--out", str(first)
+        ) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        args = manifest["args"]
+        (args if section == "args" else args["config"])[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        second = tmp_path / "second"
+        assert run_cli("replay", str(edited), "--out", str(second)) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not second.exists()
+
+    def test_replay_refuses_a_flag_the_scan_mode_does_not_read(self, tmp_path, capsys):
+        data = tmp_path / "frame.csv"
+        n = 120
+        data.write_text("time,active\n" + "".join(f"{t},{(t * 7) % 11}\n" for t in range(1, n + 1)))
+        first = tmp_path / "first"
+        assert run_cli(
+            "scan", "--mode", "E", "--data", str(data), "--e-max", "2", "--out", str(first)
+        ) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["args"]["tp_max"] = 4
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        assert run_cli("replay", str(edited), "--out", str(second)) == 2
+        assert "tp_max" in capsys.readouterr().err
+        assert not second.exists()
 
     def test_seed_sweep_layout(self, small_config, tmp_path):
         out = tmp_path / "sweep"

@@ -16,7 +16,7 @@ from edmcontrol.control import (
     propaganda_response,
 )
 from edmcontrol import control
-from edmcontrol.abm import run_scenario
+from edmcontrol.abm import WorldParams, run_scenario
 from edmcontrol.config import controller_params, loop_config, resolve, world_params
 from edmcontrol.edm import smap_predict
 from edmcontrol.scenarios import legitimacy_profile, standard_run
@@ -163,6 +163,19 @@ class TestClosedLoop:
         d = closed_loop_controller(hist, self.CFG, PAPER)
         assert d.engaged and math.isfinite(d.forecast)
         assert PAPER.p_min < d.propaganda < PAPER.p_max
+
+    def test_nan_latest_observation_holds(self, capfd):
+        # a NaN in the query gives a NaN forecast, so the previous propaganda
+        # holds; LAPACK is never handed NaN weights
+        world = WorldParams(grid_width=20, grid_height=20, n_citizens=120, n_cops=12, vision=3.0)
+        frame = run_scenario(world, 60, seed=0, legitimacy=0.6)
+        cols = {k: v.copy() for k, v in frame.columns.items()}
+        cols["propaganda"][-1] = 0.23
+        cols["jailed"][-1] = np.nan
+        d = closed_loop_controller(Frame(frame.time, cols), self.CFG, PAPER)
+        assert (d.propaganda, d.engaged, d.held) == (0.23, True, True)
+        assert math.isnan(d.forecast)
+        assert capfd.readouterr().err == ""
 
     def test_no_lookahead_library_targets_are_observed(self):
         # every library row's target time must lie at or before the current

@@ -291,6 +291,23 @@ class TestSmap:
         assert out.prediction == 7.0
         assert np.all(out.coefficients[1:] == 0.0)
 
+    def test_non_finite_query_gives_nan_fit(self):
+        # no weights exist for a query whose distance mean is not finite:
+        # NaN prediction and coefficients, and no least-squares call
+        rng = np.random.default_rng(37)
+        lib = embedding_from(rng.normal(size=(30, 2)), rng.normal(size=30))
+        bad = np.array([[np.nan, 0.0], [np.inf, 0.0]])
+        finite = rng.normal(size=2)
+        outputs = [smap_predict(lib, q[None, :], theta=2.0)[0] for q in bad]
+        outputs += smap_predict(lib, np.vstack([bad, finite]), theta=2.0)[:2]
+        for out in outputs:
+            assert math.isnan(out.prediction)
+            assert out.coefficients.shape == (3,) and np.isnan(out.coefficients).all()
+            assert not (out.rank_deficient or out.degenerate)
+        block_finite = smap_predict(lib, np.vstack([bad, finite]), theta=2.0)[2]
+        coef, pred = wls_oracle(lib.points, lib.targets, finite, 2.0)
+        assert block_finite.prediction == pytest.approx(pred, abs=1e-8)
+
     def test_rank_deficient_flag(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=20)
