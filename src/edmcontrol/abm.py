@@ -125,9 +125,15 @@ class _Geometry:
     the same cell on the Active grid) holds the flat start indices of the
     2r + 1 row segments of the disc centred on that cell, then their
     one-past-end indices offset by the two grids' size.
+
+    A move adds ``move_dx[k]``, an offset shifted by r, to a column, and
+    ``wrap_x`` maps the sum back onto the torus; rows likewise.
     """
 
-    move_offsets: np.ndarray  # (n, 2) nonzero (dx, dy) within vision
+    move_dx: np.ndarray  # (n,) dx + r of the nonzero moves within vision
+    move_dy: np.ndarray  # (n,) dy + r of the same moves
+    wrap_x: np.ndarray  # (width + 2r,) column x + r  ->  torus column of x
+    wrap_y: np.ndarray  # (height + 2r,) row y + r  ->  torus row of y
     sx: np.ndarray  # (width, width) squared torus distance between columns
     sy: np.ndarray  # (height, height) squared torus distance between rows
     reach: int  # largest integer squared distance within vision
@@ -161,9 +167,21 @@ def _geometry(width: int, height: int, vision: float) -> _Geometry:
     cop = np.hstack([starts, ends + 2 * size])
     active = np.hstack([starts + size, ends + 3 * size])
     segments = np.vstack([cop, active]).astype(np.intp)
+    move_dx, move_dy = (np.array(offs, dtype=np.int64) + r).T.copy()
+    wrap_x = (np.arange(width + 2 * r) - r) % width
+    wrap_y = (np.arange(height + 2 * r) - r) % height
     sx = _squared_torus_distances(width)
     sy = _squared_torus_distances(height)
-    return _Geometry(np.array(offs, dtype=np.int64), sx, sy, reach, r, segments)
+    return _Geometry(move_dx, move_dy, wrap_x, wrap_y, sx, sy, reach, r, segments)
+
+
+@lru_cache(maxsize=8)
+def _arrest_table(n_cops: int, k: float) -> np.ndarray:
+    """``arrest_probability(ratio, k)`` for every cop/Active ratio 0..n_cops,
+    read-only since every step shares it."""
+    table = arrest_probability(np.arange(n_cops + 1), k)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -182,10 +200,6 @@ class WorldState:
     cop_x: np.ndarray
     cop_y: np.ndarray
     rng: np.random.Generator
-
-    def counts(self) -> tuple[int, int, int]:
-        c = np.bincount(self.citizen_state, minlength=3)
-        return int(c[STATE_QUIET]), int(c[STATE_ACTIVE]), int(c[STATE_JAILED])
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -248,7 +262,8 @@ def citizen_behavior(hardship, risk_aversion, arrest_prob, gov: GovState):
     """
     g = grievance(np.asarray(hardship, dtype=np.float64), gov.legitimacy)
     net = g - np.asarray(risk_aversion, dtype=np.float64) * np.asarray(arrest_prob)
-    return np.where(net > gov.propaganda, STATE_ACTIVE, STATE_QUIET).astype(np.int8)
+    # Quiet is 0 and Active is 1, so the comparison is the new state
+    return (net > gov.propaganda).astype(np.int8)
 
 
 def _neighborhood_counts(world: WorldState) -> np.ndarray:
@@ -257,26 +272,35 @@ def _neighborhood_counts(world: WorldState) -> np.ndarray:
     Returns a ``(2, n_cells)`` stack: cop counts, then Active counts.  Each
     cop and each Active stamps the row segments of the disc centred on its
     cell: one ``bincount`` of the segments' starts minus ends, then one
-    running sum over the two stamped grids, gives every cell the number of
+    running sum over the stamped grids, gives every cell the number of
     discs covering it.  A row's marks sum to zero, so nothing carries from
     one row into the next.  The ``2r`` overhang columns then fold back onto
-    the torus.  The counts are exact integers, and their cost grows with
-    cops plus Actives, not with cells.
+    the torus.  With no Active citizen only the cop grid is stamped and
+    summed, and the Active counts are zeros.  The counts are exact
+    integers, and their cost grows with cops plus Actives, not with cells.
     """
     p = world.params
     width, height = p.grid_width, p.grid_height
     geo = _geometry(width, height, p.vision)
-    cop_cells = world.cop_y * width + world.cop_x
-    active = world.citizen_state == STATE_ACTIVE
-    act_cells = (world.citizen_y * width + world.citizen_x)[active]
-    cells = np.concatenate([cop_cells, act_cells + p.n_cells])
     r = geo.radius
     stride = width + 2 * r + 1
-    size = 2 * height * stride
-    marks = np.bincount(geo.disc_segments[cells].ravel(), minlength=2 * size)
-    cover = np.cumsum(marks[:size] - marks[size:]).reshape(2, height, stride)
-    counts = cover[:, :, :width].copy()
-    counts[:, :, : 2 * r] += cover[:, :, width : width + 2 * r]
+    size = height * stride  # one stamped grid
+    cells = world.cop_y * width + world.cop_x
+    active = np.flatnonzero(world.citizen_state == STATE_ACTIVE)
+    grids = 1
+    if active.size:
+        grids = 2
+        act_cells = world.citizen_y[active] * width + world.citizen_x[active]
+        cells = np.concatenate([cells, act_cells + p.n_cells])
+    # starts land in the first ``grids`` grids, ends two grids further on
+    segments = geo.disc_segments.take(cells, axis=0).ravel()
+    marks = np.bincount(segments, minlength=(2 + grids) * size)
+    cover = marks[: grids * size] - marks[2 * size :]
+    np.cumsum(cover, out=cover)
+    cover = cover.reshape(grids, height, stride)
+    counts = np.zeros((2, height, width), dtype=np.int64)
+    counts[:grids] = cover[:, :, :width]
+    counts[:grids, :, : 2 * r] += cover[:, :, width : width + 2 * r]
     return counts.reshape(2, p.n_cells)
 
 
@@ -306,21 +330,22 @@ def _enforce(world: WorldState) -> list[int]:
         return []
     room = active_ids.size
     if p.jail_capacity is not None:
-        room = min(room, p.jail_capacity - int((state == STATE_JAILED).sum()))
-    order = world.rng.permutation(p.n_cops)
+        room = min(room, p.jail_capacity - np.count_nonzero(state == STATE_JAILED))
+    rng, jail, terms = world.rng, world.jail_remaining, p.max_jail_term + 1
+    order = rng.permutation(p.n_cops)
     alive = np.ones(active_ids.size, dtype=bool)
     arrested: list[int] = []
     # a cop that sees no Active now sees none later, so it draws nothing
-    for c in order[sees[order]]:
+    for c in order[sees[order]].tolist():
         if len(arrested) >= room:
             break
         cand = (within[c] & alive if arrested else within[c]).nonzero()[0]
         if cand.size == 0:
             continue
-        pick = int(cand[world.rng.integers(cand.size)])
+        pick = cand[rng.integers(cand.size)]
         cid = int(active_ids[pick])
         state[cid] = STATE_JAILED
-        world.jail_remaining[cid] = int(world.rng.integers(1, p.max_jail_term + 1))
+        jail[cid] = rng.integers(1, terms)
         alive[pick] = False
         arrested.append(cid)
     return arrested
@@ -331,51 +356,55 @@ def step(world: WorldState) -> TickObservation:
 
     Phases: jail countdown and release; simultaneous random movement of all
     free agents within vision; simultaneous citizen decisions against the
-    post-move snapshot; cop enforcement in shuffled order.
+    post-move snapshot; cop enforcement in shuffled order.  With no Active
+    citizen before the decisions the cop/Active division is skipped, with
+    none after them enforcement is, and the observation is counted from
+    the free citizens, the decisions and the arrests.
     """
     p = world.params
-    move_offsets = _geometry(p.grid_width, p.grid_height, p.vision).move_offsets
+    geo = _geometry(p.grid_width, p.grid_height, p.vision)
     world.t += 1
     state = world.citizen_state
 
     # 1. Jail countdown; release exactly when the term reaches zero.
     jailed = state == STATE_JAILED
     if jailed.any():
-        world.jail_remaining[jailed] -= 1
+        world.jail_remaining -= jailed
         state[jailed & (world.jail_remaining == 0)] = STATE_QUIET
 
     # 2. Movement: free citizens first, then cops (fixed draw order).
     free = np.flatnonzero(state != STATE_JAILED)
-    if free.size:
-        picks = world.rng.integers(0, len(move_offsets), size=free.size)
-        world.citizen_x[free] = (world.citizen_x[free] + move_offsets[picks, 0]) % p.grid_width
-        world.citizen_y[free] = (world.citizen_y[free] + move_offsets[picks, 1]) % p.grid_height
-    if p.n_cops:
-        picks = world.rng.integers(0, len(move_offsets), size=p.n_cops)
-        world.cop_x = (world.cop_x + move_offsets[picks, 0]) % p.grid_width
-        world.cop_y = (world.cop_y + move_offsets[picks, 1]) % p.grid_height
+    n_moves = geo.move_dx.size
+    picks = world.rng.integers(0, n_moves, size=free.size)
+    x = geo.wrap_x[world.citizen_x[free] + geo.move_dx[picks]]
+    y = geo.wrap_y[world.citizen_y[free] + geo.move_dy[picks]]
+    world.citizen_x[free] = x
+    world.citizen_y[free] = y
+    picks = world.rng.integers(0, n_moves, size=p.n_cops)
+    world.cop_x = geo.wrap_x[world.cop_x + geo.move_dx[picks]]
+    world.cop_y = geo.wrap_y[world.cop_y + geo.move_dy[picks]]
 
     # 3. Decisions: every free citizen re-assesses against the same snapshot.
     cop_near, act_near = _neighborhood_counts(world)
-    cells = world.citizen_y[free] * p.grid_width + world.citizen_x[free]
-    # Epstein's estimated arrest probability: the citizen counts itself on
-    # the active side, and the cop/active ratio is floored.
-    actives = 1 + act_near[cells] - (state[free] == STATE_ACTIVE)
-    ratio = cop_near[cells] // actives
-    prob = arrest_probability(ratio, p.k_arrest)
-    state[free] = citizen_behavior(
-        world.hardship[free], world.risk_aversion[free], prob, world.gov
-    )
+    cells = y * p.grid_width + x
+    ratio = cop_near[cells]
+    if np.count_nonzero(act_near):
+        # Epstein's estimated arrest probability: the citizen counts itself
+        # on the active side, and the cop/active ratio is floored.
+        ratio //= 1 + act_near[cells] - (state[free] == STATE_ACTIVE)
+    prob = _arrest_table(p.n_cops, p.k_arrest)[ratio]
+    decided = citizen_behavior(world.hardship[free], world.risk_aversion[free], prob, world.gov)
+    state[free] = decided
+    n_active = int(np.count_nonzero(decided))
 
     # 4. Enforcement: shuffled cops, each jails one visible Active citizen.
-    _enforce(world)
+    arrests = len(_enforce(world)) if n_active else 0
 
-    quiet, active, jailed_count = world.counts()
     return TickObservation(
         time=world.t,
-        quiet=quiet,
-        active=active,
-        jailed=jailed_count,
+        quiet=free.size - n_active,
+        active=n_active - arrests,
+        jailed=p.n_citizens - free.size + arrests,
         legitimacy=world.gov.legitimacy,
         propaganda=world.gov.propaganda,
     )
@@ -426,7 +455,7 @@ def run_scenario(
         cols["legitimacy"][i] = obs.legitimacy
         cols["propaganda"][i] = obs.propaganda
         if controller is not None:
-            history = Frame(
+            history = Frame._unchecked(
                 times[: i + 1],
                 {name: cols[name][: i + 1] for name in OBSERVATION_COLUMNS},
             )

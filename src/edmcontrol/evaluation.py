@@ -48,6 +48,9 @@ THETA_GRID = (0.0, 0.1, 0.3, 1.0, 2.0, 3.0, 5.0, 9.0)
 
 DEFAULT_SPLIT = 0.6
 
+# Share of a library's rows, taken from its end, that theta tuning validates on.
+VALIDATION_FRACTION = 0.25
+
 logger = logging.getLogger(__name__)
 
 
@@ -220,13 +223,10 @@ def theta_scan(
     return theta_scan_split(lib, pred, grid)
 
 
-def tune_theta(
-    library: Embedding,
-    grid=THETA_GRID,
-    validation_fraction: float = 0.25,
-) -> float:
-    """Pick theta by skill on a chronological validation slice of the library."""
-    fit, val = _chronological_split(library, 1.0 - validation_fraction)
+def tune_theta(library: Embedding, grid=THETA_GRID) -> float:
+    """Pick theta by skill on the last ``VALIDATION_FRACTION`` of the library's
+    rows, fitted on the rows before them."""
+    fit, val = _chronological_split(library, 1.0 - VALIDATION_FRACTION)
     return theta_scan_split(fit, val, grid).best()
 
 

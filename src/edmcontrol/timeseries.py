@@ -63,6 +63,15 @@ class Frame:
             cols[name] = arr
         object.__setattr__(self, "columns", cols)
 
+    @classmethod
+    def _unchecked(cls, time: np.ndarray, columns: dict) -> Frame:
+        """A frame holding exactly the given arrays, unchecked: for an int64
+        unit-step time index and float64 columns its caller built itself."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "time", time)
+        object.__setattr__(frame, "columns", columns)
+        return frame
+
     def __len__(self) -> int:
         return int(self.time.size)
 

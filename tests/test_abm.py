@@ -150,8 +150,7 @@ class TestInit:
 
     def test_everyone_starts_quiet(self):
         w = init_world(SMALL, seed=1)
-        q, a, j = w.counts()
-        assert (q, a, j) == (SMALL.n_citizens, 0, 0)
+        assert list(np.bincount(w.citizen_state, minlength=3)) == [SMALL.n_citizens, 0, 0]
 
     def test_distinct_cells(self):
         w = init_world(SMALL, seed=2)
@@ -186,6 +185,18 @@ class TestRules:
         rng = np.random.default_rng(0)
         h = rng.random(200_000)
         assert grievance(h, 0.7).mean() == pytest.approx(0.5 * 0.3, abs=2e-3)
+
+    @pytest.mark.parametrize(
+        "params",
+        [WorldParams(), SMALL, dataclasses.replace(SMALL, k_arrest=0.37)],
+        ids=["default", "small", "k=0.37"],
+    )
+    def test_arrest_table_is_arrest_probability(self, params):
+        table = abm._arrest_table(params.n_cops, params.k_arrest)
+        assert table.shape == (params.n_cops + 1,)
+        for ratio in range(params.n_cops + 1):
+            want = arrest_probability(ratio, params.k_arrest)
+            assert table[ratio].tobytes() == want.tobytes(), ratio
 
     def test_arrest_probability_anchors(self):
         assert arrest_probability(0.0) == 0.0
@@ -433,6 +444,17 @@ class TestDiscSumsEquivalence:
         states = np.full(1120, STATE_ACTIVE)
         self.assert_matches_reference(world_on_cells(width, height, vision, cops, citizens, states))
 
+    @pytest.mark.parametrize("width,height,vision", EQUIVALENCE_GEOMETRIES)
+    def test_no_active_citizen(self, width, height, vision):
+        rng = np.random.default_rng(width * height + 1)
+        cops = rng.integers(0, width * height, 80)
+        citizens = rng.integers(0, width * height, 1120)
+        for states in (np.full(1120, STATE_QUIET), rng.choice([STATE_QUIET, STATE_JAILED], 1120)):
+            world = world_on_cells(width, height, vision, cops, citizens, states)
+            self.assert_matches_reference(world)
+            cop_near, act_near = _neighborhood_counts(world)
+            assert cop_near.any() and not act_near.any()
+
 
 class TestEnforceEquivalence:
     @staticmethod
@@ -502,16 +524,53 @@ class TestEnforceEquivalence:
 
     def test_whole_runs_match_reference_paths(self, monkeypatch):
         fast = [run_scenario(SMALL, 300, seed=s, legitimacy=0.6) for s in range(3)]
-        monkeypatch.setattr(abm, "_enforce", reference_enforce)
-        monkeypatch.setattr(abm, "_neighborhood_counts", reference_neighborhood_counts)
+        calls = {"enforce": 0, "counts": 0}
+
+        def counted(name, fn):
+            def wrapper(world):
+                calls[name] += 1
+                return fn(world)
+
+            return wrapper
+
+        monkeypatch.setattr(abm, "_enforce", counted("enforce", reference_enforce))
+        monkeypatch.setattr(
+            abm, "_neighborhood_counts", counted("counts", reference_neighborhood_counts)
+        )
         for s, frame in enumerate(fast):
             ref = run_scenario(SMALL, 300, seed=s, legitimacy=0.6)
             assert ref.column("jailed").max() > 0
             for col in frame.columns:
                 assert np.array_equal(frame.columns[col], ref.columns[col]), (s, col)
+        # the step took both reference paths, the counts on every tick
+        assert calls["counts"] == 3 * 300
+        assert calls["enforce"] > 0
 
 
 class TestStep:
+    @pytest.mark.parametrize(
+        "params",
+        [SMALL, dataclasses.replace(SMALL, jail_capacity=15), WorldParams()],
+        ids=["small", "small-capacity-15", "paper"],
+    )
+    def test_observation_counts_the_states(self, params):
+        # calm, unrest, then calm again while the jail empties
+        legitimacy = np.repeat([0.95, 0.6, 0.95], [100, 180, 20])
+        w = init_world(params, seed=5)
+        actives, jailed = [], []
+        for leg in legitimacy:
+            w.gov.legitimacy = leg
+            obs = step(w)
+            counts = np.bincount(w.citizen_state, minlength=3)
+            assert (obs.quiet, obs.active, obs.jailed) == tuple(counts), obs.time
+            assert type(obs.active) is type(obs.quiet) is type(obs.jailed) is int
+            actives.append(obs.active)
+            jailed.append(obs.jailed)
+        # quiet ticks with and without jailed citizens, ticks with Actives
+        assert max(actives) > 0 and actives[-1] == 0 and jailed[-1] > 0
+        if params.jail_capacity == 15:
+            assert max(jailed) == params.jail_capacity
+
     def test_conservation_over_many_steps(self):
         w = init_world(SMALL, seed=7)
         for _ in range(300):

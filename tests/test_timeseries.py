@@ -31,6 +31,15 @@ class TestFrame:
         with pytest.raises(ValueError, match="unit step"):
             Frame(np.array([1, 3, 4]), {"a": np.zeros(3)})
 
+    @pytest.mark.parametrize(
+        "time", [[1, 2, 2], [3, 2, 1], [1, 2, 4], [[1, 2, 3]], []], ids=str
+    )
+    def test_user_frames_are_checked(self, time):
+        # only run_scenario's own history views skip these checks
+        n = np.asarray(time).size
+        with pytest.raises(ValueError, match="time index"):
+            Frame(np.asarray(time, dtype=np.int64), {"a": np.zeros(n)})
+
     def test_unknown_column(self):
         f = make_frame(a=[1.0, 2.0])
         with pytest.raises(KeyError, match="unknown column"):
