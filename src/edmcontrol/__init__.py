@@ -39,7 +39,6 @@ from .control import (
     ControlDecision,
     ControllerParams,
     EdmController,
-    LegitimacySchedule,
     LoopConfig,
     closed_loop_controller,
     make_legitimacy_schedule,

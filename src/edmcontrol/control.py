@@ -3,8 +3,9 @@
 The closed loop embeds the jailed/quiet history, S-map-forecasts the Active
 count five steps ahead from the most recent completed observation, and maps
 the forecast through a bounded logistic response to set the propaganda level
-for the next tick.  :class:`EdmController` keeps the embedding library across
-ticks and appends one row per tick instead of re-embedding the history.
+for the next tick.  Like the reference EDM implementations, it re-embeds the
+whole history and refits on every engaged tick; :class:`EdmController` only
+binds the configuration and keeps nothing between ticks.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edm import smap_predict
-from .timeseries import Embedding, EmbeddingSpec, Frame, build_state_vector
+from .timeseries import EmbeddingSpec, Frame, build_generalized_embedding, build_state_vector
 
 __all__ = [
     "ControllerParams",
-    "LegitimacySchedule",
     "LoopConfig",
     "ControlDecision",
     "CONTROL_EMBEDDING",
@@ -80,45 +80,20 @@ def propaganda_response(a_hat: float, params: ControllerParams = ControllerParam
     return min(max(p, lo), hi)
 
 
-@dataclass(frozen=True)
-class LegitimacySchedule:
-    """Piecewise-constant legitimacy: 20 random change points over a run.
-
-    ``values[0]`` holds from tick 1 until the first change tick; ``values[i]``
-    holds from ``change_times[i-1]`` on, so there are ``len(change_times)``
-    segments after the start.
-    """
-
-    change_times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ct = np.asarray(self.change_times, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.size != ct.size + 1:
-            raise ValueError("need one value per segment: len(values) == len(change_times) + 1")
-        if ct.size and not np.all(np.diff(ct) > 0):
-            raise ValueError("change times must be strictly increasing")
-        object.__setattr__(self, "change_times", ct)
-        object.__setattr__(self, "values", vals)
-
-    def materialize(self, steps: int) -> np.ndarray:
-        ticks = np.arange(1, steps + 1)
-        segs = np.searchsorted(self.change_times, ticks, side="right")
-        return self.values[segs]
-
-
 def make_legitimacy_schedule(
     seed,
     total_ticks: int,
     n_changes: int = 20,
     low: float = 0.6,
     high: float = 0.85,
-) -> LegitimacySchedule:
-    """Draw a random legitimacy schedule: values uniform on (low, high].
+) -> np.ndarray:
+    """Draw a random piecewise-constant legitimacy for ticks 1..total_ticks.
 
-    Change points are drawn uniformly without replacement from the open
-    interval (0, total_ticks) and sorted.
+    The ``n_changes`` change ticks are drawn uniformly without replacement
+    from the open interval (0, total_ticks) and sorted, then the
+    ``n_changes + 1`` segment values uniformly on (low, high].  The first
+    value holds from tick 1 until the first change tick, and value ``i``
+    from change tick ``i`` on.  Returns one value per tick.
     """
     if total_ticks <= n_changes:
         raise ValueError("total_ticks must exceed the number of change points")
@@ -126,7 +101,7 @@ def make_legitimacy_schedule(
     change_times = np.sort(rng.choice(np.arange(1, total_ticks), size=n_changes, replace=False))
     # high - U[0, span) lies in (low, high]
     values = high - rng.random(n_changes + 1) * (high - low)
-    return LegitimacySchedule(change_times, values)
+    return values[np.searchsorted(change_times, np.arange(1, total_ticks + 1), side="right")]
 
 
 @dataclass(frozen=True)
@@ -162,120 +137,24 @@ class ControlDecision:
     held: bool = False
 
 
-def _same_start(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether views ``a`` and ``b`` start at the same element of one buffer
-    with the same strides: their first elements then occupy the same bytes."""
-    return (
-        a.base is not None
-        and a.base is b.base
-        and a.strides == b.strides
-        and np.may_share_memory(a[:1], b[:1])
-    )
-
-
-def _grown(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """A copy of ``a`` with room for ``capacity`` entries along its last axis,
-    the first ``n`` of them copied."""
-    out = np.empty(a.shape[:-1] + (capacity,), dtype=a.dtype)
-    out[..., :n] = a[..., :n]
-    return out
-
-
-class _GrowingLibrary:
-    """The closed loop's embedding library, kept across ticks.
-
-    Holds the rows :func:`build_generalized_embedding` would build from the
-    history, in the same order and with the same values: the coordinates one
-    row per coordinate in an ``(E, capacity)`` array, so the S-map reads them
-    without a copy, plus targets and origin ticks.  A row is appended once
-    its target tick has been observed; a row with a non-finite value is
-    dropped.
-
-    A history extends the last one when it is no shorter and its time and
-    used columns are views that start where the last history's did, in the
-    same buffers, as the growing views :func:`run_scenario` passes are.
-    Rows already seen are taken never to be rewritten.  Any other history
-    rebuilds the library from row 0 through the same append.
-    """
-
-    def __init__(self, spec: EmbeddingSpec):
-        self.spec = spec
-        self._names = tuple(dict.fromkeys([name for name, _ in spec.coordinates] + [spec.target]))
-        self._coord_names = spec.coord_names()
-        self._coords = np.empty((spec.e, 0))
-        self._targets = np.empty(0)
-        self._times = np.empty(0, dtype=np.int64)
-        self._rows = 0
-        self._next = spec.max_lag  # first origin position not yet appended
-        self._source: tuple[np.ndarray, ...] = ()
-
-    def embedding(self, history: Frame) -> Embedding:
-        """The library for ``history``: every row whose target is observed."""
-        source = (history.time, *(history.column(name) for name in self._names))
-        extends = (
-            self._source
-            and len(history) >= len(self._source[0])
-            and all(_same_start(a, b) for a, b in zip(source, self._source))
-        )
-        if not extends:
-            self._rows, self._next = 0, self.spec.max_lag
-        self._source = source
-        self._append(history, len(history) - self.spec.tp)
-        n = self._rows
-        return Embedding(self._coords[:, :n].T, self._targets[:n], self._times[:n], self._coord_names)
-
-    def _append(self, history: Frame, stop: int) -> None:
-        """Append the rows with origin positions ``_next`` up to ``stop``."""
-        start, spec = self._next, self.spec
-        if stop <= start:
-            return
-        points = np.empty((spec.e, stop - start), dtype=np.float64)
-        for j, (name, lag) in enumerate(spec.coordinates):
-            points[j] = history.columns[name][start - lag : stop - lag]
-        targets = history.columns[spec.target][start + spec.tp : stop + spec.tp]
-        times = history.time[start:stop]
-        keep = np.isfinite(points).all(axis=0) & np.isfinite(targets)
-        if not keep.all():
-            points, targets, times = points[:, keep], targets[keep], times[keep]
-        n, k = self._rows, targets.size
-        if n + k > self._targets.size:
-            capacity = max(2 * self._targets.size, n + k)
-            self._coords, self._targets, self._times = (
-                _grown(a, n, capacity) for a in (self._coords, self._targets, self._times)
-            )
-        self._coords[:, n : n + k] = points
-        self._targets[n : n + k] = targets
-        self._times[n : n + k] = times
-        self._rows, self._next = n + k, stop
-
-
 def closed_loop_controller(
     history: Frame,
     config: LoopConfig = LoopConfig(),
     params: ControllerParams = ControllerParams(),
-    library: _GrowingLibrary | None = None,
 ) -> ControlDecision:
     """Compute the next-tick propaganda level from the observation history.
 
     Before the warmup completes the initial propaganda value passes through
-    unchanged.  Afterwards every embedding row of the history with an
-    observed target forms the library, the query is the state vector at the
-    most recent tick, and the S-map Active forecast feeds the logistic
-    response.  A non-finite forecast (degenerate library) holds the previous
-    propaganda level and flags the decision.
-
-    ``library`` is a library kept from earlier calls, made for
-    ``config.spec`` (:class:`EdmController` keeps one); without it the
-    library is built from the whole history.
+    unchanged.  Afterwards the whole history is embedded on every call:
+    every embedding row with an observed target forms the library, the
+    query is the state vector at the most recent tick, and the S-map Active
+    forecast feeds the logistic response.  A non-finite forecast (degenerate
+    library) holds the previous propaganda level and flags the decision.
     """
     prop = history.column("propaganda")
     if len(history) < config.warmup_ticks:
         return ControlDecision(propaganda=float(prop[0]))
-    if library is None:
-        library = _GrowingLibrary(config.spec)
-    elif library.spec != config.spec:
-        raise ValueError("library was made for a different embedding spec")
-    embedding = library.embedding(history)
+    embedding = build_generalized_embedding(history, config.spec)
     query = build_state_vector(history, config.spec)
     out = smap_predict(embedding, query[None, :], config.theta)[0]
     if not math.isfinite(out.prediction):
@@ -292,8 +171,8 @@ def closed_loop_controller(
 class EdmController:
     """Callable wrapper binding a loop configuration to controller parameters.
 
-    It keeps the S-map library across calls: a history that extends the last
-    one appends its new rows, and any other history rebuilds the library.
+    It keeps nothing between calls: each call is
+    ``closed_loop_controller(history, config, params)``.
     """
 
     def __init__(
@@ -303,7 +182,6 @@ class EdmController:
     ):
         self.config = config
         self.params = params
-        self.library = _GrowingLibrary(config.spec)
 
     def __call__(self, history: Frame) -> ControlDecision:
-        return closed_loop_controller(history, self.config, self.params, self.library)
+        return closed_loop_controller(history, self.config, self.params)

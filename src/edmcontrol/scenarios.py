@@ -51,15 +51,14 @@ def legitimacy_profile(
             f"random legitimacy needs steps > warmup + {cfg['schedule_changes']};"
             f" got steps={steps}, warmup={warmup}"
         )
-    schedule = make_legitimacy_schedule(
+    leg = np.full(steps, float(cfg["legitimacy"]))
+    leg[warmup:] = make_legitimacy_schedule(
         seed_sequence,
         span,
         n_changes=int(cfg["schedule_changes"]),
         low=float(cfg["legitimacy_low"]),
         high=float(cfg["legitimacy_high"]),
     )
-    leg = np.full(steps, float(cfg["legitimacy"]))
-    leg[warmup:] = schedule.materialize(span)
     return leg
 
 

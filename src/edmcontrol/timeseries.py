@@ -133,15 +133,13 @@ class Embedding:
 
     ``points[i]`` is the E-dimensional state vector whose origin is
     ``times[i]``; ``targets[i]`` is the target column at ``times[i] + tp``.
-    Rows containing non-finite values are dropped at construction and counted
-    in ``n_dropped``.
+    The embedding builders drop rows that contain a non-finite value.
     """
 
     points: np.ndarray
     targets: np.ndarray
     times: np.ndarray
     coord_names: tuple[str, ...] = ()
-    n_dropped: int = 0
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -169,12 +167,26 @@ class Embedding:
         )
 
 
-def _drop_nonfinite(points, targets, times, coord_names) -> Embedding:
-    keep = np.isfinite(points).all(axis=1) & np.isfinite(targets)
-    dropped = int(points.shape[0] - keep.sum())
-    if dropped:
-        points, targets, times = points[keep], targets[keep], times[keep]
-    return Embedding(points, targets, times, coord_names, n_dropped=dropped)
+def _embed(lagged, target, tp: int, start: int, times, coord_names) -> Embedding:
+    """The rows with origin positions ``start`` to ``start + len(times)``.
+
+    ``lagged`` lists ``(values, lag)`` in coordinate order: coordinate j of
+    the row at position t is ``values[t - lag]`` and its target is
+    ``target[t + tp]``.  Each coordinate is one contiguous slice, copied into
+    a row of one ``(E + 1, n)`` array whose last row holds the targets, and
+    ``points`` is the transpose of its coordinate rows, so the kernels read
+    each coordinate in place.  Rows with a non-finite value are dropped.
+    """
+    stop = start + len(times)
+    block = np.empty((len(lagged) + 1, len(times)), dtype=np.float64)
+    for row, (values, lag) in zip(block, lagged):
+        row[:] = values[start - lag : stop - lag]
+    block[-1] = target[start + tp : stop + tp]
+    finite = np.isfinite(block)
+    if not finite.all():
+        keep = finite.all(axis=0)
+        block, times = block.compress(keep, axis=1), times[keep]
+    return Embedding(block[:-1].T, block[-1], times, coord_names)
 
 
 def build_delay_embedding(series, e: int, tau: int = 1, tp: int = 1) -> Embedding:
@@ -203,14 +215,11 @@ def build_delay_embedding(series, e: int, tau: int = 1, tp: int = 1) -> Embeddin
             f"series of length {x.size} too short for e={e}, tau={tau}, tp={tp};"
             f" need at least {need} observations"
         )
-    n = x.size - (e - 1) * tau - tp
-    origins = np.arange((e - 1) * tau, (e - 1) * tau + n)
-    # column j holds x(t - j*tau): most recent coordinate first
-    idx = origins[:, None] - np.arange(e)[None, :] * tau
-    points = x[idx]
-    targets = x[origins + tp]
+    start = (e - 1) * tau
+    origins = np.arange(start, x.size - tp)
+    # coordinate j holds x(t - j*tau): most recent coordinate first
     names = tuple(f"x(t-{j * tau})" if j else "x(t)" for j in range(e))
-    return _drop_nonfinite(points, targets, origins, names)
+    return _embed([(x, j * tau) for j in range(e)], x, tp, start, origins, names)
 
 
 def build_generalized_embedding(frame: Frame, spec: EmbeddingSpec) -> Embedding:
@@ -219,25 +228,20 @@ def build_generalized_embedding(frame: Frame, spec: EmbeddingSpec) -> Embedding:
     The row with origin tick ``t`` concatenates ``frame[column][t - lag]`` in
     spec order; the target is ``frame[spec.target][t + spec.tp]``.  Valid
     origins run from ``max_lag`` past the frame start to ``tp`` before its
-    end, so the row count is ``len(frame) - max_lag - tp``.
+    end, so the row count is ``len(frame) - max_lag - tp``, less the rows
+    with a non-finite value.
     """
-    for name, _ in spec.coordinates:
-        frame.column(name)
-    frame.column(spec.target)
+    lagged = [(frame.column(name), lag) for name, lag in spec.coordinates]
+    target = frame.column(spec.target)
     max_lag = spec.max_lag
-    n = len(frame) - max_lag - spec.tp
-    if n < 1:
+    stop = len(frame) - spec.tp
+    if stop <= max_lag:
         raise InsufficientDataError(
             f"frame of length {len(frame)} too short for max lag {max_lag}"
             f" and tp={spec.tp}; need at least {max_lag + spec.tp + 1} rows"
         )
-    offsets = np.arange(max_lag, max_lag + n)
-    points = np.empty((n, spec.e), dtype=np.float64)
-    for j, (name, lag) in enumerate(spec.coordinates):
-        points[:, j] = frame.columns[name][offsets - lag]
-    targets = frame.columns[spec.target][offsets + spec.tp]
-    times = frame.time[offsets]
-    return _drop_nonfinite(points, targets, times, spec.coord_names())
+    times = frame.time[max_lag:stop].copy()
+    return _embed(lagged, target, spec.tp, max_lag, times, spec.coord_names())
 
 
 def build_state_vector(frame: Frame, spec: EmbeddingSpec) -> np.ndarray:

@@ -15,13 +15,11 @@ from edmcontrol.control import (
     make_legitimacy_schedule,
     propaganda_response,
 )
-from edmcontrol import control
 from edmcontrol.abm import WorldParams, run_scenario
 from edmcontrol.config import controller_params, loop_config, resolve, world_params
 from edmcontrol.edm import smap_predict
 from edmcontrol.scenarios import legitimacy_profile, standard_run
 from edmcontrol.timeseries import (
-    EmbeddingSpec,
     Frame,
     build_generalized_embedding,
     build_state_vector,
@@ -74,41 +72,54 @@ class TestPropagandaResponse:
             ControllerParams(slope=0.0)
 
 
+def change_positions(a):
+    """Positions where a new segment of a per-tick schedule starts."""
+    return np.flatnonzero(np.diff(a)) + 1
+
+
+def segment_values(a):
+    return np.concatenate([a[:1], a[change_positions(a)]])
+
+
 class TestLegitimacySchedule:
     def test_values_within_half_open_interval(self):
         for seed in range(30):
-            s = make_legitimacy_schedule(seed, 2000)
-            assert np.all(s.values > 0.6)
-            assert np.all(s.values <= 0.85)
+            a = make_legitimacy_schedule(seed, 2000)
+            assert a.shape == (2000,)
+            assert np.all(a > 0.6)
+            assert np.all(a <= 0.85)
 
     def test_same_seed_identical(self):
         a = make_legitimacy_schedule(42, 1500)
         b = make_legitimacy_schedule(42, 1500)
-        assert np.array_equal(a.change_times, b.change_times)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_twenty_change_points_sorted_in_open_interval(self):
-        s = make_legitimacy_schedule(7, 3000)
-        assert len(s.change_times) == 20
-        assert np.all(np.diff(s.change_times) > 0)
-        assert s.change_times[0] > 0
-        assert s.change_times[-1] < 3000
+        a = make_legitimacy_schedule(7, 3000)
+        changes = change_positions(a)
+        assert len(changes) == 20
+        assert np.all(np.diff(changes) > 0)
+        assert changes[0] > 0
+        assert changes[-1] < 3000
 
-    def test_materialize_follows_segment_rule(self):
-        # values[0] holds before the first change tick; values[i] holds from
-        # change_times[i-1] on.
-        s = make_legitimacy_schedule(3, 500)
+    def test_per_tick_values_follow_the_draws(self):
+        # change ticks first, then the segment values, from one generator;
+        # values[0] holds before the first change tick and values[i] from
+        # change_times[i-1] on
+        rng = np.random.default_rng(3)
+        change_times = np.sort(rng.choice(np.arange(1, 500), size=20, replace=False))
+        values = 0.85 - rng.random(21) * 0.25
         expected, seg = [], 0
         for tick in range(1, 501):
-            while seg < len(s.change_times) and tick >= s.change_times[seg]:
+            while seg < len(change_times) and tick >= change_times[seg]:
                 seg += 1
-            expected.append(s.values[seg])
-        assert np.array_equal(s.materialize(500), np.array(expected))
+            expected.append(values[seg])
+        assert np.array_equal(make_legitimacy_schedule(3, 500), np.array(expected))
 
     def test_segment_values_uniform(self):
         # pooled segment values across many schedules: KS against U(0.6, 0.85)
         vals = np.concatenate(
-            [make_legitimacy_schedule(s, 1000).values for s in range(200)]
+            [segment_values(make_legitimacy_schedule(s, 1000)) for s in range(200)]
         )
         stat, p = stats.kstest(vals, "uniform", args=(0.6, 0.25))
         assert p > 0.01
@@ -216,53 +227,35 @@ def prefix(frame, n, columns=None):
     return Frame(frame.time[:n], {k: v[:n] for k, v in cols.items() if k != "forecast_active"})
 
 
-def assert_library_matches_embedding(controller, history):
-    lib = controller.library.embedding(history)
-    ref = build_generalized_embedding(history, controller.config.spec)
-    assert np.array_equal(lib.points, ref.points)
-    assert np.array_equal(lib.targets, ref.targets)
-    assert np.array_equal(lib.times, ref.times)
-
-
-class TestKeptLibrary:
-    """EdmController keeps its library across ticks; every decision equals
-    the one a fresh controller computes from the whole history."""
+class TestControllerDecisions:
+    """Every decision of an :class:`EdmController` is the S-map forecast
+    from the embedding of the whole history it is given."""
 
     CFG = small_cfg()
 
     def controller(self):
         return EdmController(loop_config(self.CFG), controller_params(self.CFG))
 
-    def assert_fresh(self, controller, history):
+    def assert_decides_as_closed_loop(self, controller, history):
         decision = controller(history)
         assert decision == closed_loop_controller(history, controller.config, controller.params)
-        if decision.engaged:
-            assert_library_matches_embedding(controller, history)
         return decision
 
-    def test_every_tick_of_a_run_matches_the_fresh_decision(self, monkeypatch):
+    def test_every_tick_of_a_run_matches_the_whole_history_forecast(self):
         controller = self.controller()
         config = controller.config
-        spans = []
-        append = control._GrowingLibrary._append
-
-        def spy(library, history, stop):
-            if library is controller.library:
-                spans.append((library._next, stop))
-            append(library, history, stop)
-
-        monkeypatch.setattr(control._GrowingLibrary, "_append", spy)
+        engaged = []
 
         def checked(history):
-            decision = self.assert_fresh(controller, history)
+            decision = controller(history)
             if decision.engaged:
-                # the embedding the controller built every tick before it kept a library
                 ref = smap_predict(
                     build_generalized_embedding(history, config.spec),
                     build_state_vector(history, config.spec)[None, :],
                     config.theta,
                 )[0]
                 assert decision.forecast == ref.prediction
+                engaged.append(len(history))
             return decision
 
         world_ss, schedule_ss = np.random.SeedSequence(0).spawn(2)
@@ -271,38 +264,27 @@ class TestKeptLibrary:
         want = standard_run(self.CFG, 0, 300, control=True, legitimacy_mode="random")
         for name in want.columns:
             assert np.array_equal(frame.column(name), want.column(name), equal_nan=True), name
-        # built once at the end of the warmup, then extended tick by tick
-        spec = config.spec
-        assert spans[0] == (spec.max_lag, self.CFG["warmup_ticks"] - spec.tp)
-        assert all(start == stop for (_, stop), (start, _) in zip(spans, spans[1:]))
-        assert spans[-1][1] == 300 - spec.tp
+        assert engaged[0] == self.CFG["warmup_ticks"] and engaged[-1] == 300
 
-    def test_history_that_does_not_extend_rebuilds(self):
+    def test_mixed_histories_decide_as_closed_loop_controller(self):
         a = standard_run(self.CFG, 0, 200, control=False, legitimacy_mode="random")
         b = standard_run(self.CFG, 1, 200, control=False, legitimacy_mode="random")
         controller = self.controller()
         for n in range(60, 150):
-            self.assert_fresh(controller, prefix(a, n))
+            self.assert_decides_as_closed_loop(controller, prefix(a, n))
         # a new run from tick 1
         for n in (60, 61, 120):
-            self.assert_fresh(controller, prefix(b, n))
+            self.assert_decides_as_closed_loop(controller, prefix(b, n))
         # a frame of the same length with different values
-        self.assert_fresh(controller, prefix(a, 120))
+        self.assert_decides_as_closed_loop(controller, prefix(a, 120))
         # a shorter prefix of the same buffers, then longer again
-        self.assert_fresh(controller, prefix(a, 90))
-        self.assert_fresh(controller, prefix(a, 100))
+        self.assert_decides_as_closed_loop(controller, prefix(a, 90))
+        self.assert_decides_as_closed_loop(controller, prefix(a, 100))
         # a frame with a NaN row: the rows that read it are dropped
         cols = {k: v.copy() for k, v in a.columns.items()}
         cols["jailed"][100] = np.nan
         history = prefix(a, 150, cols)
-        decision = self.assert_fresh(controller, history)
+        decision = self.assert_decides_as_closed_loop(controller, history)
         assert decision.engaged and math.isfinite(decision.forecast)
         # origins 4..144, less the three whose lags 0, 2 and 4 read tick position 100
-        assert len(controller.library.embedding(history)) == 141 - 3
-
-    def test_library_spec_must_match(self):
-        history = constant_history(60, active=35.0)
-        spec = EmbeddingSpec(coordinates=(("jailed", 0), ("quiet", 0)), target="active", tp=5)
-        library = EdmController(LoopConfig(warmup_ticks=40), PAPER).library
-        with pytest.raises(ValueError, match="different embedding spec"):
-            closed_loop_controller(history, LoopConfig(warmup_ticks=40, spec=spec), PAPER, library)
+        assert len(build_generalized_embedding(history, controller.config.spec)) == 141 - 3

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmcontrol import edm
 from edmcontrol.timeseries import (
     Embedding,
     EmbeddingSpec,
@@ -103,6 +104,7 @@ class TestDelayEmbedding:
             for j in range(e):
                 assert emb.points[i, j] == series[t - j * tau]
             assert emb.targets[i] == series[t + 1]
+        assert np.shares_memory(edm._coordinate_rows(emb), emb.points)
 
 
 class TestGeneralizedEmbedding:
@@ -152,9 +154,45 @@ class TestGeneralizedEmbedding:
         f = make_frame(a=vals, b=np.arange(20.0))
         spec = EmbeddingSpec((("a", 0), ("a", 1)), target="b", tp=1)
         emb = build_generalized_embedding(f, spec)
-        # origins 7 and 8 contain the NaN coordinate
-        assert emb.n_dropped == 2
-        assert not np.isin([8, 9], emb.times).any()
+        # origin positions 7 and 8 (ticks 8 and 9) read the NaN coordinate
+        assert len(emb) == 20 - 1 - 1 - 2
+        assert emb.times.tolist() == [t for t in range(2, 20) if t not in (8, 9)]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_row_oracle(self, data):
+        n = data.draw(st.integers(14, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = {name: rng.normal(size=n) for name in "abc"}
+        # column a at several lags, the others at most once each
+        a_lags = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True))
+        others = data.draw(
+            st.lists(st.tuples(st.sampled_from("bc"), st.integers(0, 6)), max_size=2, unique_by=lambda c: c[0])
+        )
+        coords = data.draw(st.permutations([("a", lag) for lag in a_lags] + others))
+        target = data.draw(st.sampled_from("abc"))
+        spec = EmbeddingSpec(tuple(coords), target=target, tp=data.draw(st.integers(0, 6)))
+        if data.draw(st.booleans()):
+            cols["a"][data.draw(st.integers(0, n - 1))] = np.nan
+        if data.draw(st.booleans()):
+            cols[target][data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([np.nan, np.inf]))
+        f = make_frame(**cols)
+        emb = build_generalized_embedding(f, spec)
+
+        points, targets, times = [], [], []
+        for t in range(spec.max_lag, n - spec.tp):
+            row = [f.columns[c][t - lag] for c, lag in spec.coordinates]
+            y = f.columns[target][t + spec.tp]
+            if np.isfinite(row).all() and np.isfinite(y):
+                points.append(row)
+                targets.append(y)
+                times.append(f.time[t])
+        assert emb.points.tobytes() == np.array(points, dtype=np.float64).reshape(-1, spec.e).tobytes()
+        assert emb.targets.tobytes() == np.array(targets, dtype=np.float64).tobytes()
+        assert emb.times.tobytes() == np.array(times, dtype=np.int64).tobytes()
+        if len(emb) == n - spec.max_lag - spec.tp:
+            # no row dropped: the kernels read the coordinates in place
+            assert np.shares_memory(edm._coordinate_rows(emb), emb.points)
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
