@@ -78,8 +78,10 @@ class WorldParams:
             raise ValueError("vision must be >= 1 cell")
         if 2 * int(self.vision) + 1 > min(self.grid_width, self.grid_height):
             raise ValueError("vision diameter exceeds grid size; torus counts would double")
-        if self.max_jail_term < 1:
-            raise ValueError("max_jail_term must be >= 1 tick")
+        if not 1 <= self.max_jail_term < 2**32:
+            raise ValueError("max_jail_term must lie in 1..2**32 - 1 ticks")
+        if self.jail_capacity is not None and self.jail_capacity < 0:
+            raise ValueError("jail_capacity must be >= 0 (or None for no limit)")
         if not 0.0 < self.legitimacy <= 1.0:
             raise ValueError("legitimacy must lie in (0, 1]")
         if self.propaganda < 0.0:
@@ -304,6 +306,26 @@ def _neighborhood_counts(world: WorldState) -> np.ndarray:
     return counts.reshape(2, p.n_cells)
 
 
+def _below(next32, bits, n: int) -> int:
+    """``Generator.integers(n)`` for ``1 <= n < 2**32``, from 32-bit words.
+
+    ``next32(bits)`` is the bit generator's ``ctypes.next_uint32`` called on
+    its ``ctypes.state``.  This is numpy's bounded-integer rule (Lemire's
+    multiply-shift with rejection): ``n == 1`` draws no word; otherwise the
+    word times ``n`` is redrawn while its low 32 bits fall below
+    ``(2**32 - n) % n``, and the high 32 bits are the draw.  It consumes the
+    same words and returns the same integer as ``integers(n)``.
+    """
+    if n == 1:
+        return 0
+    m = next32(bits) * n
+    if (m & 0xFFFFFFFF) < n:
+        threshold = (0x100000000 - n) % n
+        while (m & 0xFFFFFFFF) < threshold:
+            m = next32(bits) * n
+    return m >> 32
+
+
 def _enforce(world: WorldState) -> list[int]:
     """Enforcement phase: shuffled cops each jail one visible Active citizen.
 
@@ -312,6 +334,11 @@ def _enforce(world: WorldState) -> list[int]:
     ``1..max_jail_term``.  Arrests stop once jail capacity is reached.  The
     cop order is drawn only when some cop sees an Active citizen.  Returns
     the arrested citizens in arrest order.
+
+    Each pick and each term is drawn by :func:`_below` straight from the bit
+    generator's 32-bit words, by numpy's bounded-integer rule, so the same
+    words give the same integers as ``rng.integers``.  Those ctypes calls
+    skip the bit generator's lock: one world is stepped by one thread.
     """
     p = world.params
     state = world.citizen_state
@@ -321,8 +348,8 @@ def _enforce(world: WorldState) -> list[int]:
     geo = _geometry(p.grid_width, p.grid_height, p.vision)
     # within[c, i]: cop c sees Active citizen active_ids[i]
     within = (
-        geo.sx[world.cop_x][:, world.citizen_x[active_ids]]
-        + geo.sy[world.cop_y][:, world.citizen_y[active_ids]]
+        geo.sx.take(world.citizen_x[active_ids], axis=1)[world.cop_x]
+        + geo.sy.take(world.citizen_y[active_ids], axis=1)[world.cop_y]
         <= geo.reach
     )
     sees = within.any(axis=1)
@@ -331,24 +358,27 @@ def _enforce(world: WorldState) -> list[int]:
     room = active_ids.size
     if p.jail_capacity is not None:
         room = min(room, p.jail_capacity - np.count_nonzero(state == STATE_JAILED))
-    rng, jail, terms = world.rng, world.jail_remaining, p.max_jail_term + 1
-    order = rng.permutation(p.n_cops)
+    order = world.rng.permutation(p.n_cops)
+    bits = world.rng.bit_generator.ctypes
+    next32, ptr, max_term = bits.next_uint32, bits.state, p.max_jail_term
     alive = np.ones(active_ids.size, dtype=bool)
-    arrested: list[int] = []
+    picks: list[int] = []
+    terms: list[int] = []
     # a cop that sees no Active now sees none later, so it draws nothing
     for c in order[sees[order]].tolist():
-        if len(arrested) >= room:
+        if len(picks) >= room:
             break
-        cand = (within[c] & alive if arrested else within[c]).nonzero()[0]
+        cand = (within[c] & alive if picks else within[c]).nonzero()[0]
         if cand.size == 0:
             continue
-        pick = cand[rng.integers(cand.size)]
-        cid = int(active_ids[pick])
-        state[cid] = STATE_JAILED
-        jail[cid] = rng.integers(1, terms)
+        pick = int(cand[_below(next32, ptr, cand.size)])
+        terms.append(_below(next32, ptr, max_term) + 1)
         alive[pick] = False
-        arrested.append(cid)
-    return arrested
+        picks.append(pick)
+    arrested = active_ids[picks]
+    state[arrested] = STATE_JAILED
+    world.jail_remaining[arrested] = terms
+    return arrested.tolist()
 
 
 def step(world: WorldState) -> TickObservation:

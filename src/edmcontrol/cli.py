@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -208,7 +207,12 @@ def _cmd_simulate(ns) -> int:
         for task in tasks:
             _run_command(*task)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawn, not fork: the parent already runs BLAS threads
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             futures = [pool.submit(_run_command, *task) for task in tasks]
             for f in futures:
                 f.result()

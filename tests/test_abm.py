@@ -138,6 +138,25 @@ class TestParams:
         with pytest.raises(ValueError, match="legitimacy"):
             WorldParams(legitimacy=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("jail_capacity", -1),
+            ("jail_capacity", -5),
+            ("max_jail_term", 0),
+            ("max_jail_term", 2**32),
+        ],
+    )
+    def test_rejects_enforcement_bounds_that_cannot_take_effect(self, field, value):
+        # a negative capacity would act as a full jail; a term of 2**32 or more
+        # lies outside the 32-bit draw enforcement uses
+        with pytest.raises(ValueError, match=field):
+            WorldParams(**{field: value})
+
+    def test_accepts_enforcement_bounds_at_their_limits(self):
+        p = WorldParams(jail_capacity=0, max_jail_term=2**32 - 1)
+        assert (p.jail_capacity, p.max_jail_term) == (0, 2**32 - 1)
+
 
 class TestInit:
     def test_deterministic_from_seed(self):
@@ -288,6 +307,26 @@ class TestEnforce:
         w.citizen_y[0] = w.cop_y[0]
         w.citizen_state[0] = STATE_ACTIVE
         assert _enforce(w) == []
+
+
+# bounds for the word-by-word draw: no word at 1, small bounds, the paper's
+# term, and large bounds whose redraw threshold rejects a quarter to half of
+# the words (3 * 2**30 rejects 25%, 5 * 2**29 about 37%)
+BELOW_BOUNDS = [1, 2, 3, 30, 1120, 3 * 2**30, 5 * 2**29, 2**32 - 1]
+
+
+class TestBelow:
+    def test_equals_generator_integers(self):
+        fast, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        bits = fast.bit_generator.ctypes
+        picks = np.random.default_rng(7).integers(0, len(BELOW_BOUNDS), 200_000)
+        for i, k in enumerate(picks.tolist()):
+            n = BELOW_BOUNDS[k]
+            assert abm._below(bits.next_uint32, bits.state, n) == ref.integers(n), (i, n)
+            if i % 7 == 0:
+                # a whole-word draw in between, as the step's other draws are
+                assert fast.random() == ref.random()
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 class TestEnforceManyCops:
@@ -545,6 +584,27 @@ class TestEnforceEquivalence:
         # the step took both reference paths, the counts on every tick
         assert calls["counts"] == 3 * 300
         assert calls["enforce"] > 0
+
+    def test_paper_world_matches_reference_enforce(self, monkeypatch):
+        # the trapped regime: hundreds of Actives against a jail that fills up
+        params = WorldParams()
+        fast = run_scenario(params, 300, seed=0, legitimacy=0.6)
+        capped = []
+
+        def reference_counting_capacity_stops(world):
+            unlimited = copy.deepcopy(world)
+            unlimited.params = dataclasses.replace(world.params, jail_capacity=None)
+            arrested = reference_enforce(world)
+            capped.append(len(reference_enforce(unlimited)) > len(arrested))
+            return arrested
+
+        monkeypatch.setattr(abm, "_enforce", reference_counting_capacity_stops)
+        ref = run_scenario(params, 300, seed=0, legitimacy=0.6)
+        for col in fast.columns:
+            assert np.array_equal(fast.columns[col], ref.columns[col]), col
+        assert fast.column("active").max() >= 150
+        assert fast.column("jailed").max() == params.jail_capacity
+        assert any(capped)
 
 
 class TestStep:

@@ -106,7 +106,15 @@ class TestConfig:
         assert load_config(path)["jail_capacity"] is None
 
     @pytest.mark.parametrize("source", ["--set", "--config"])
-    @pytest.mark.parametrize("key,value", [("grid_width", "none"), ("grid_width", "4.5")])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("grid_width", "none"),
+            ("grid_width", "4.5"),
+            ("jail_capacity", "-5"),
+            ("max_jail_term", str(2**32)),
+        ],
+    )
     def test_bad_value_exit_one_names_key(self, tmp_path, capsys, source, key, value):
         if source == "--set":
             flags = ("--set", f"{key}={value}")
