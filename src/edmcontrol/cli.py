@@ -1,9 +1,12 @@
 """Command-line front end for reproducible scenario runs and analyses.
 
 Subcommands: ``simulate``, ``scan``, ``forecast``, ``analyze``,
-``export-comparison``, ``replay``.  Every run writes a JSON manifest holding
-the resolved parameters, seed, and output list, sufficient to replay the run
-bit-identically with ``edmcontrol replay``.
+``export-comparison``, ``replay``.  Every run writes a JSON manifest whose
+``argv`` is the command line that repeats it: every flag the run reads at its
+resolved value, and every config key it reads as ``--set``.  ``edmcontrol
+replay`` runs that command line through the same parser and checks as a typed
+one, so the run repeats bit-identically; a manifest the checks refuse exits 2
+and writes nothing.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -119,16 +122,36 @@ class _Outputs:
                 pass
 
 
-def _run_command(command: str, args: dict, out_dir: str) -> None:
-    """Dispatch a resolved-argument command; used by both the CLI and replay."""
+def _argv(command: str, flags: dict, cfg: dict | None = None, keys=()) -> list[str]:
+    """The command line that repeats a run, as its manifest records it.
+
+    Each flag the run reads appears at its resolved value as ``--name=value``,
+    so a value that starts with ``-`` parses back; a switch that is on appears
+    bare, and a flag that is off or None is left out.  Each config key the run
+    reads appears as ``--set key=value``, so neither a config file nor
+    ``EDMCONTROL_CONFIG`` can change a replayed run.
+    """
+    argv = [command]
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")  # a float formats as its repr
+    for key in sorted(keys):
+        argv += ["--set", f"{key}={'none' if cfg[key] is None else cfg[key]}"]
+    return argv
+
+
+def _run(argv: list[str], ns, cfg, work) -> int:
+    """Run ``work(ns, cfg, out)`` into ``ns.out``, then write the manifest."""
     started = time.perf_counter()
-    out = _Outputs(out_dir)
+    out = _Outputs(ns.out)
     try:
-        _COMMANDS[command](args, out)
+        work(ns, cfg, out)
         manifest = {
-            "command": command,
+            "argv": argv,
             "version": __version__,
-            "args": args,
             "outputs": sorted(out.files),
             "duration_seconds": time.perf_counter() - started,
         }
@@ -136,6 +159,7 @@ def _run_command(command: str, args: dict, out_dir: str) -> None:
     except BaseException:
         out.discard()
         raise
+    return EXIT_OK
 
 
 def _read_frame(path):
@@ -148,13 +172,13 @@ def _read_frame(path):
 
 # ---------------------------------------------------------------- simulate
 
-def _simulate_one(args: dict, out: _Outputs) -> None:
+def _simulate_one(ns, cfg: dict, out: _Outputs) -> None:
     frame = standard_run(
-        args["config"],
-        seed=args["seed"],
-        steps=args["steps"],
-        control=args["control"],
-        legitimacy_mode=args["legitimacy"],
+        cfg,
+        seed=ns.seed,
+        steps=ns.steps,
+        control=ns.control == "on",
+        legitimacy_mode=ns.legitimacy,
     )
     out.write("frame.csv", lambda path: write_frame_csv(frame, path))
 
@@ -189,23 +213,21 @@ def _cmd_simulate(ns) -> int:
     read = _run_keys(ns.control == "on", ns.legitimacy)
     cfg = resolve(ns.config, _config_overrides(ns, run, read))
     seeds = _parse_seeds(ns.seed, ns.seeds)
-    base = {
-        "steps": ns.steps,
-        "control": ns.control == "on",
-        "legitimacy": ns.legitimacy,
-        "config": cfg,
-    }
+    flags = {"steps": ns.steps, "control": ns.control, "legitimacy": ns.legitimacy}
+    argvs = {s: _argv("simulate", {"seed": s, **flags}, cfg, read) for s in seeds}
     if len(seeds) == 1:
-        _run_command("simulate", {**base, "seed": seeds[0]}, ns.out)
-        return EXIT_OK
-    jobs = ns.jobs or 1
+        ns.seed = seeds[0]
+        return _run(argvs[ns.seed], ns, cfg, _simulate_one)
+    # Each seed runs as the command line its own manifest records.  A typed
+    # --config goes along only so that EDMCONTROL_CONFIG is not read instead.
+    config = [] if ns.config is None else [f"--config={ns.config}"]
     tasks = [
-        ("simulate", {**base, "seed": s}, os.path.join(ns.out, f"seed_{s}"))
-        for s in seeds
+        [*argv, *config, "--out=" + os.path.join(ns.out, f"seed_{s}")] for s, argv in argvs.items()
     ]
+    jobs = ns.jobs or 1
     if jobs == 1:
         for task in tasks:
-            _run_command(*task)
+            _dispatch(task)
     else:
         # spawn, not fork: the parent already runs BLAS threads
         import multiprocessing
@@ -213,7 +235,7 @@ def _cmd_simulate(ns) -> int:
 
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            futures = [pool.submit(_run_command, *task) for task in tasks]
+            futures = [pool.submit(_dispatch, task) for task in tasks]
             for f in futures:
                 f.result()
     return EXIT_OK
@@ -221,27 +243,18 @@ def _cmd_simulate(ns) -> int:
 
 # -------------------------------------------------------------------- scan
 
-def _load_series(args: dict) -> np.ndarray:
-    if args.get("data") is not None:
-        return _read_frame(args["data"]).column(args["column"])
-    cfg = args["config"]
-    frame = standard_run(cfg, seed=args["seed"], steps=args["steps"], control=False)
-    return frame.column(args["column"])
-
-
-def _scan(args: dict, out: _Outputs) -> None:
-    series = _load_series(args)
-    mode = args["mode"]
-    if mode == "E":
-        result = embed_dimension_scan(series, args["e_max"], args["tp"], split=args["split"])
-        param = "E"
-    elif mode == "Tp":
-        result = tp_scan(series, args["e"], args["tp_max"], split=args["split"])
-        param = "Tp"
+def _scan(ns, cfg: dict, out: _Outputs) -> None:
+    if ns.data is not None:
+        series = _read_frame(ns.data).column(ns.column)
     else:
-        result = theta_scan(series, args["e"], args["tp"], split=args["split"])
-        param = "theta"
-    out.write("scan.csv", lambda path: result.write_csv(path, param_name=param))
+        series = standard_run(cfg, seed=ns.seed, steps=ns.steps, control=False).column(ns.column)
+    if ns.mode == "E":
+        result = embed_dimension_scan(series, ns.e_max, ns.tp, split=ns.split)
+    elif ns.mode == "Tp":
+        result = tp_scan(series, ns.e, ns.tp_max, split=ns.split)
+    else:
+        result = theta_scan(series, ns.e, ns.tp, split=ns.split)
+    out.write("scan.csv", lambda path: result.write_csv(path, param_name=ns.mode))
     if any(r.degenerate for r in result.reports):
         print("warning: degenerate skill (zero variance) at one or more scan points", file=sys.stderr)
 
@@ -273,26 +286,20 @@ def _cmd_scan(ns) -> int:
             raise UsageError(f"scan --mode {ns.mode} does not use --{name.replace('_', '-')}; drop it")
     if "e" in used and ns.e is None:
         raise UsageError(f"--mode {ns.mode} requires --e")
-
-    flags = {**_SCAN_DEFAULTS, **{k: v for k, v in vars(ns).items() if v is not None}}
+    for name, default in _SCAN_DEFAULTS.items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, default)
     # an empty grid is refused before anything is simulated or written
     for name in ("e_max", "tp_max"):
-        if name in used and flags[name] < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {flags[name]}")
-    args = {
-        "mode": ns.mode,
-        "data": ns.data,
-        "column": ns.column,
-        "split": ns.split,
-        **{name: flags[name] for name in used},
-    }
+        if name in used and getattr(ns, name) < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(ns, name)}")
+    flags = {name: getattr(ns, name) for name in ("mode", "data", "column", "split", *used)}
+    cfg, keys = None, ()
     if ns.data is None:
-        overrides = _config_overrides(ns, "scan --generate", _run_keys(False, "constant"))
-        args["config"] = resolve(ns.config, overrides)
-        args["seed"] = flags["seed"]
-        args["steps"] = flags["steps"]
-    _run_command("scan", args, ns.out)
-    return EXIT_OK
+        keys = _run_keys(False, "constant")
+        cfg = resolve(ns.config, _config_overrides(ns, "scan --generate", keys))
+        flags.update(generate=True, seed=ns.seed, steps=ns.steps)
+    return _run(_argv("scan", flags, cfg, keys), ns, cfg, _scan)
 
 
 # ---------------------------------------------------------------- forecast
@@ -308,16 +315,12 @@ def _parse_coords(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(coords)
 
 
-def _forecast(args: dict, out: _Outputs) -> None:
-    frame = _read_frame(args["data"])
-    spec = EmbeddingSpec(
-        coordinates=tuple((c, int(l)) for c, l in args["coords"]),
-        target=args["target"],
-        tp=args["tp"],
-    )
-    emb = build_generalized_embedding(frame, spec)
-    lib, pred = split_library_prediction(emb, tuple(args["lib"]), tuple(args["pred"]))
-    theta = args["theta"]
+def _forecast(ns, cfg, out: _Outputs) -> None:
+    spec = EmbeddingSpec(coordinates=_parse_coords(ns.coords), target=ns.target, tp=ns.tp)
+    lib_range, pred_range = _parse_range(ns.lib), _parse_range(ns.pred)
+    emb = build_generalized_embedding(_read_frame(ns.data), spec)
+    lib, pred = split_library_prediction(emb, lib_range, pred_range)
+    theta = ns.theta
     if theta is None:
         from .evaluation import tune_theta
 
@@ -348,30 +351,20 @@ def _forecast(args: dict, out: _Outputs) -> None:
 
 
 def _cmd_forecast(ns) -> int:
-    args = {
-        "data": ns.data,
-        "coords": list(_parse_coords(ns.coords)),
-        "target": ns.target,
-        "tp": ns.tp,
-        "lib": list(_parse_range(ns.lib)),
-        "pred": list(_parse_range(ns.pred)),
-        "theta": ns.theta,
-    }
-    _run_command("forecast", args, ns.out)
-    return EXIT_OK
+    names = ("data", "coords", "target", "tp", "lib", "pred", "theta")
+    return _run(_argv("forecast", {name: getattr(ns, name) for name in names}), ns, None, _forecast)
 
 
 # ----------------------------------------------------------------- analyze
 
-def _analyze(args: dict, out: _Outputs) -> None:
-    frame = _read_frame(args["data"])
-    cfg = args["config"]
+def _analyze(ns, cfg: dict, out: _Outputs) -> None:
+    frame = _read_frame(ns.data)
     jac = None
-    if args["jacobian"] or args["partition"]:
+    if ns.jacobian or ns.partition:
         jac = interaction_coefficients(frame, theta=cfg["jacobian_theta"])
-    if args["jacobian"]:
+    if ns.jacobian:
         out.write("jacobian.csv", jac.write_csv)
-    if args["partition"]:
+    if ns.partition:
         part = partition_variance(
             jac,
             frame.column("legitimacy")[jac.times - frame.time[0]],  # unit-step ticks
@@ -385,7 +378,7 @@ def _analyze(args: dict, out: _Outputs) -> None:
                 f"warning: {part.n_skipped} variance window(s) skipped (non-finite coefficients)",
                 file=sys.stderr,
             )
-    if args["trapped"]:
+    if ns.trapped:
         trapped = detect_trapped_state(
             frame,
             active_floor=cfg["trapped_active_floor"],
@@ -407,31 +400,21 @@ def _cmd_analyze(ns) -> int:
     if not flags:
         raise UsageError("analyze needs at least one of --jacobian --partition --trapped")
     run = "analyze " + " ".join(f"--{flag}" for flag in flags)
-    overrides = _config_overrides(ns, run, frozenset().union(*(_ANALYZE_KEYS[f] for f in flags)))
-    args = {
-        "data": ns.data,
-        "jacobian": ns.jacobian,
-        "partition": ns.partition,
-        "trapped": ns.trapped,
-        "config": resolve(ns.config, overrides),
-    }
-    _run_command("analyze", args, ns.out)
-    return EXIT_OK
+    read = frozenset().union(*(_ANALYZE_KEYS[f] for f in flags))
+    cfg = resolve(ns.config, _config_overrides(ns, run, read))
+    argv = _argv("analyze", {"data": ns.data, **dict.fromkeys(flags, True)}, cfg, read)
+    return _run(argv, ns, cfg, _analyze)
 
 
 # ------------------------------------------------------- export-comparison
 
-def _export_comparison(args: dict, out: _Outputs) -> None:
-    cfg = args["config"]
+def _export_comparison(ns, cfg: dict, out: _Outputs) -> None:
+    train_range, test_range = _parse_range(ns.train), _parse_range(ns.test)
     frame = standard_run(
-        cfg,
-        seed=args["seed"],
-        steps=args["steps"],
-        control=False,
-        legitimacy_mode=args["legitimacy"],
+        cfg, seed=ns.seed, steps=ns.steps, control=False, legitimacy_mode=ns.legitimacy
     )
     emb = build_generalized_embedding(frame, CONTROL_EMBEDDING)
-    train, test = split_library_prediction(emb, tuple(args["train"]), tuple(args["test"]))
+    train, test = split_library_prediction(emb, train_range, test_range)
     for name, block in (("train.csv", train), ("test.csv", test)):
         out.write_rows(
             name,
@@ -445,22 +428,18 @@ def _export_comparison(args: dict, out: _Outputs) -> None:
 
 def _cmd_export_comparison(ns) -> int:
     run = f"export-comparison --legitimacy {ns.legitimacy}"
-    overrides = _config_overrides(ns, run, _run_keys(False, ns.legitimacy))
-    args = {
-        "seed": ns.seed,
-        "steps": ns.steps,
-        "legitimacy": ns.legitimacy,
-        "train": list(_parse_range(ns.train)),
-        "test": list(_parse_range(ns.test)),
-        "config": resolve(ns.config, overrides),
-    }
-    _run_command("export-comparison", args, ns.out)
-    return EXIT_OK
+    read = _run_keys(False, ns.legitimacy)
+    cfg = resolve(ns.config, _config_overrides(ns, run, read))
+    names = ("seed", "steps", "legitimacy", "train", "test")
+    argv = _argv("export-comparison", {name: getattr(ns, name) for name in names}, cfg, read)
+    return _run(argv, ns, cfg, _export_comparison)
 
 
 # ------------------------------------------------------------------ replay
 
 def _cmd_replay(ns) -> int:
+    """Run the command line a manifest records through the same checks as a
+    typed one; any refusal is a data error."""
     try:
         with open(ns.manifest) as fh:
             manifest = json.load(fh)
@@ -468,95 +447,22 @@ def _cmd_replay(ns) -> int:
         raise DataError(f"cannot read manifest: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest: {exc}") from exc
-    command = manifest.get("command") if type(manifest) is dict else None
-    if command not in _COMMANDS:
-        raise DataError(f"manifest names unknown command {command!r}")
-    _run_command(command, _replay_args(command, manifest.get("args")), ns.out)
-    return EXIT_OK
-
-
-def _is(*types):
-    return lambda value: type(value) in types  # exact, so that a bool is not an int
-
-
-def _one_of(*choices):
-    return lambda value: value in choices
-
-
-def _is_range(value) -> bool:
-    return type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
-
-
-def _is_coords(value) -> bool:
-    return type(value) is list and all(
-        type(c) is list and len(c) == 2 and type(c[0]) is str and type(c[1]) is int
-        for c in value
-    )
-
-
-_INT, _FLOAT, _BOOL, _STR, _CONFIG = _is(int), _is(float, int), _is(bool), _is(str), _is(dict)
-_LEGITIMACY = _one_of("constant", "random", "random-full")
-
-# The args each command records, with a check of each value's form.  A
-# config's keys and values are checked by coerce.
-_REPLAY_ARGS = {
-    "simulate": {
-        "seed": _INT, "steps": _INT, "control": _BOOL, "legitimacy": _LEGITIMACY, "config": _CONFIG,
-    },
-    "scan": {
-        "mode": _one_of(*_SCAN_MODE_FLAGS), "data": _is(str, type(None)), "column": _STR,
-        "split": _FLOAT, "e_max": _INT, "e": _INT, "tp": _INT, "tp_max": _INT,
-        "seed": _INT, "steps": _INT, "config": _CONFIG,
-    },
-    "forecast": {
-        "data": _STR, "coords": _is_coords, "target": _STR, "tp": _INT, "lib": _is_range,
-        "pred": _is_range, "theta": _is(float, int, type(None)),
-    },
-    "analyze": {
-        "data": _STR, "jacobian": _BOOL, "partition": _BOOL, "trapped": _BOOL, "config": _CONFIG,
-    },
-    "export-comparison": {
-        "seed": _INT, "steps": _INT, "legitimacy": _LEGITIMACY, "train": _is_range,
-        "test": _is_range, "config": _CONFIG,
-    },
-}
-
-
-def _replay_args(command: str, args) -> dict:
-    """A manifest's ``args``, refused unless ``command`` reads every key and
-    each value has the form the command records; config values are parsed
-    through :func:`coerce`, as a config file's are."""
-    if type(args) is not dict:
-        raise DataError("manifest args must be an object")
-    checks = _REPLAY_ARGS[command]
-    reads = set(checks)
-    if command == "scan":  # the flags of its mode, and the generated run's keys without --data
-        reads -= {"e_max", "e", "tp", "tp_max"} - set(_SCAN_MODE_FLAGS.get(args.get("mode"), ()))
-        if args.get("data") is not None:
-            reads -= {"config", "seed", "steps"}
-    for key, value in args.items():
-        if key not in reads:
-            raise DataError(f"manifest args key {key!r} is not read by {command}")
-        if not checks[key](value):
-            raise DataError(f"manifest args key {key!r} has an invalid value {value!r}")
-    if "config" not in args:
-        return args
-    config = {}
-    for key, value in args["config"].items():
-        try:
-            config[key] = coerce(key, str(value))
-        except ValueError as exc:
-            raise DataError(f"manifest config: {exc}") from None
-    return {**args, "config": config}
-
-
-_COMMANDS = {
-    "simulate": _simulate_one,
-    "scan": _scan,
-    "forecast": _forecast,
-    "analyze": _analyze,
-    "export-comparison": _export_comparison,
-}
+    argv = manifest.get("argv") if type(manifest) is dict else None
+    if type(argv) is not list or not all(type(arg) is str for arg in argv):
+        raise DataError(
+            "manifest has no argv, a list of strings; manifests that record"
+            " command and args instead are from an older edmcontrol and cannot be replayed"
+        )
+    if argv[:1] == ["replay"]:
+        raise DataError("manifest argv must name the command that wrote it, not replay")
+    try:
+        return _dispatch([*argv, f"--out={ns.out}"])
+    except np.linalg.LinAlgError:
+        raise
+    except (UsageError, ValueError) as exc:
+        raise DataError(f"manifest argv: {exc}") from None
+    except SystemExit:  # argparse has printed the help or the version
+        raise DataError("manifest argv asks for help or the version, not a run") from None
 
 
 # ------------------------------------------------------------- arg parsing
@@ -676,29 +582,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(argv) -> int:
+    ns = build_parser().parse_args(argv)
+    return ns.func(ns)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return ns.func(ns)
+        return _dispatch(argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        # InsufficientDataError is a data problem; other validation
-        # failures are configuration mistakes.
-        if isinstance(exc, InsufficientDataError):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, KeyError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
+    except (DataError, InsufficientDataError, KeyError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ValueError as exc:  # other validation failures are configuration mistakes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 if __name__ == "__main__":
     sys.exit(main())

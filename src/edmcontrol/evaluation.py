@@ -38,7 +38,6 @@ __all__ = [
     "embed_dimension_scan",
     "tp_scan",
     "theta_scan",
-    "theta_scan_split",
     "tune_theta",
     "evaluate_out_of_sample",
 ]
@@ -200,7 +199,7 @@ def tp_scan(
     )
 
 
-def theta_scan_split(library: Embedding, queries: Embedding, grid=THETA_GRID) -> ScanResult:
+def _theta_scan_split(library: Embedding, queries: Embedding, grid=THETA_GRID) -> ScanResult:
     """S-map skill on a fixed library/query split for each theta in the grid."""
     reports = []
     for theta in grid:
@@ -220,14 +219,14 @@ def theta_scan(
     """S-map skill over the kernel-width grid on a delay embedding of a series."""
     emb = build_delay_embedding(np.asarray(series, dtype=np.float64), e, tau, tp)
     lib, pred = _chronological_split(emb, split)
-    return theta_scan_split(lib, pred, grid)
+    return _theta_scan_split(lib, pred, grid)
 
 
 def tune_theta(library: Embedding, grid=THETA_GRID) -> float:
     """Pick theta by skill on the last ``VALIDATION_FRACTION`` of the library's
     rows, fitted on the rows before them."""
     fit, val = _chronological_split(library, 1.0 - VALIDATION_FRACTION)
-    return theta_scan_split(fit, val, grid).best()
+    return _theta_scan_split(fit, val, grid).best()
 
 
 def evaluate_out_of_sample(

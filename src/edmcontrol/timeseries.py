@@ -80,13 +80,6 @@ class Frame:
             raise KeyError(f"unknown column {name!r}; frame has {sorted(self.columns)}")
         return self.columns[name]
 
-    def index_of(self, tick: int) -> int:
-        """Position of ``tick`` in the time index."""
-        pos = int(tick - self.time[0])
-        if pos < 0 or pos >= len(self) or self.time[pos] != tick:
-            raise KeyError(f"tick {tick} not in frame time range [{self.time[0]}, {self.time[-1]}]")
-        return pos
-
 
 @dataclass(frozen=True)
 class EmbeddingSpec:

@@ -225,7 +225,7 @@ def test_criterion_08_jacobian_variance_direction(cfg, controlled_suite):
     low_parts, high_parts = [], []
     for f in frames[:5]:
         jac = ec.interaction_coefficients(f, theta=cfg["jacobian_theta"])
-        idx = np.array([f.index_of(int(t)) for t in jac.times])
+        idx = jac.times - f.time[0]
         part = ec.partition_variance(
             jac,
             f.column("legitimacy")[idx],

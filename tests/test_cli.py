@@ -73,6 +73,23 @@ def frame_digest(out):
     return hashlib.sha256((out / "frame.csv").read_bytes()).hexdigest()
 
 
+def recorded_argv(out):
+    return json.loads((out / "manifest.json").read_text())["argv"]
+
+
+def recorded_settings(argv):
+    """The ``--set key=value`` pairs of a recorded command line, as strings."""
+    return dict(argv[i + 1].split("=", 1) for i, arg in enumerate(argv) if arg == "--set")
+
+
+def replay_with(tmp_path, argv, name="edited"):
+    """Replay a manifest that records ``argv``; return the exit code and the output path."""
+    manifest = tmp_path / f"{name}.json"
+    manifest.write_text(json.dumps({"argv": argv}))
+    out = tmp_path / f"{name}_replay"
+    return run_cli("replay", str(manifest), "--out", str(out)), out
+
+
 # SHA-256 of frame.csv from `simulate --config SMALL_CFG --steps 300`, uncontrolled;
 # they pin the simulator's output byte for byte.
 GOLDEN_FRAMES = {
@@ -159,8 +176,8 @@ class TestSimulate:
         frame = read_frame_csv(out / "frame.csv")
         assert len(frame) == 80
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "simulate"
-        assert manifest["args"]["seed"] == 5
+        assert manifest["argv"][:3] == ["simulate", "--seed=5", "--steps=80"]
+        assert "command" not in manifest and "args" not in manifest
         assert manifest["outputs"] == ["frame.csv"]
 
     def test_same_seed_byte_identical(self, small_config, tmp_path):
@@ -196,18 +213,16 @@ class TestSimulate:
     def test_replay_refuses_what_it_cannot_apply(
         self, small_config, tmp_path, capsys, section, key, value
     ):
+        # each case is an edit appended to the recorded command line: a flag
+        # (section "args") or a --set key (section "config")
         first = tmp_path / "first"
         assert run_cli(
             "simulate", "--config", small_config, "--steps", "20", "--out", str(first)
         ) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
-        args = manifest["args"]
-        (args if section == "args" else args["config"])[key] = value
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(manifest))
+        edit = [f"--{key}={value}"] if section == "args" else ["--set", f"{key}={value}"]
         capsys.readouterr()
-        second = tmp_path / "second"
-        assert run_cli("replay", str(edited), "--out", str(second)) == 2
+        code, second = replay_with(tmp_path, recorded_argv(first) + edit)
+        assert code == 2
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
@@ -221,14 +236,137 @@ class TestSimulate:
         assert run_cli(
             "scan", "--mode", "E", "--data", str(data), "--e-max", "2", "--out", str(first)
         ) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
-        manifest["args"]["tp_max"] = 4
-        edited = tmp_path / "edited.json"
-        edited.write_text(json.dumps(manifest))
-        second = tmp_path / "second"
-        assert run_cli("replay", str(edited), "--out", str(second)) == 2
-        assert "tp_max" in capsys.readouterr().err
+        code, second = replay_with(tmp_path, recorded_argv(first) + ["--tp-max=4"])
+        assert code == 2
+        assert "--tp-max" in capsys.readouterr().err
         assert not second.exists()
+
+    def test_replay_refuses_a_set_key_the_run_does_not_read(self, small_config, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run_cli(
+            "simulate", "--config", small_config, "--steps", "20", "--control", "off",
+            "--out", str(first),
+        ) == 0
+        code, second = replay_with(tmp_path, recorded_argv(first) + ["--set", "theta=9"])
+        assert code == 2
+        assert "--set theta" in capsys.readouterr().err
+        assert not second.exists()
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            {"command": "simulate", "args": {"seed": 0, "steps": 20}},
+            {"argv": "simulate --steps=20"},
+            {"argv": ["replay", "other/manifest.json"]},
+            {"argv": ["simulate", "--help"]},
+        ],
+        ids=["command_and_args", "argv_string", "argv_replay", "argv_help"],
+    )
+    def test_replay_refuses_a_manifest_without_a_command_line(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        assert run_cli("replay", str(path), "--out", str(out)) == 2
+        assert "argv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--seed", "1", "--steps", "120", "--control", "on",
+             "--legitimacy", "random"),
+            ("scan", "--mode", "E", "--generate", "--seed", "1", "--steps", "300",
+             "--e-max", "3", "--tp", "2"),
+        ],
+        ids=["simulate", "scan_generate"],
+    )
+    def test_replay_ignores_the_config_environment(
+        self, small_config, tmp_path, monkeypatch, argv
+    ):
+        # every key the run reads is recorded, so another default config file
+        # cannot change what a manifest replays to
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        first = tmp_path / "first"
+        assert run_cli(*argv, "--config", small_config, "--out", str(first)) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text("vision = 2\nwarmup_ticks = 99\nn_cops = 30\nlegitimacy = 0.5\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(other))
+        second = tmp_path / "second"
+        assert run_cli("replay", str(first / "manifest.json"), "--out", str(second)) == 0
+        for name in json.loads((first / "manifest.json").read_text())["outputs"]:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_recorded_set_keys_are_the_keys_the_run_reads(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        # criterion 9's runs and analyze: the recorded --set keys are the
+        # keys each run reads, and parsing them gives back the run's config
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        frame_csv = str(tmp_path / "sim" / "frame.csv")
+        runs = {
+            "sim": (
+                ("simulate", "--seed", "3", "--steps", "200", "--control", "on",
+                 "--legitimacy", "random"),
+                cli._run_keys(True, "random"),
+            ),
+            "scan": (
+                ("scan", "--mode", "E", "--generate", "--seed", "1", "--steps", "300",
+                 "--e-max", "3", "--tp", "2"),
+                cli._run_keys(False, "constant"),
+            ),
+            "export": (
+                ("export-comparison", "--seed", "2", "--steps", "300", "--train", "1:150",
+                 "--test", "161:300"),
+                cli._run_keys(False, "random-full"),
+            ),
+            "forecast": (
+                ("forecast", "--data", frame_csv, "--coords", "jailed:0,quiet:0",
+                 "--target", "active", "--tp", "1", "--lib", "1:100", "--pred", "111:190",
+                 "--theta", "1"),
+                frozenset(),
+            ),
+            "analyze": (
+                ("analyze", "--data", frame_csv, "--jacobian", "--partition", "--trapped"),
+                frozenset().union(*cli._ANALYZE_KEYS.values()),
+            ),
+        }
+        for name, (argv, keys) in runs.items():
+            config = ("--config", small_config) if keys else ()
+            assert run_cli(*argv, *config, "--out", str(tmp_path / name)) == 0, name
+            recorded = recorded_argv(tmp_path / name)
+            assert set(recorded_settings(recorded)) == keys, name
+            if keys:
+                ns = cli.build_parser().parse_args([*recorded, "--out", "unused"])
+                replayed = resolve(ns.config, cli._config_overrides(ns, name, keys))
+                typed = resolve(small_config)
+                assert {k: replayed[k] for k in keys} == {k: typed[k] for k in keys}, name
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_sweep_manifest_replays_its_seed(self, small_config, tmp_path, jobs):
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "simulate", "--config", small_config, "--seeds", "0:3", "--steps", "40",
+            "--jobs", jobs, "--out", str(out),
+        ) == 0
+        for s in range(3):
+            seed_dir = out / f"seed_{s}"
+            assert recorded_argv(seed_dir)[1] == f"--seed={s}"
+            replayed = tmp_path / f"replay_{s}"
+            assert run_cli("replay", str(seed_dir / "manifest.json"), "--out", str(replayed)) == 0
+            assert frame_digest(replayed) == frame_digest(seed_dir)
+
+    def test_sweep_with_a_config_file_reads_no_default_config(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        broken = tmp_path / "broken.cfg"
+        broken.write_text("not_a_key = 1\n")
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(broken))
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "simulate", "--config", small_config, "--seeds", "0:2", "--steps", "30",
+            "--out", str(out),
+        ) == 0
+        assert sorted(os.listdir(out)) == ["seed_0", "seed_1"]
 
     def test_seed_sweep_layout(self, small_config, tmp_path):
         out = tmp_path / "sweep"
@@ -315,10 +453,10 @@ class TestSimulate:
                 read.add(key)
                 return super().__getitem__(key)
 
-        def keys_read(run, args):
+        def keys_read(run, *argv):
             read.clear()
-            args["config"] = Recording(resolve(small_config))
-            run(args, cli._Outputs(str(tmp_path / "run")))
+            ns = cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "run")])
+            run(ns, Recording(resolve(small_config)), cli._Outputs(ns.out))
             return set(read)
 
         analysis_keys = {
@@ -326,20 +464,16 @@ class TestSimulate:
         }
         assert cli._run_keys(True, "random") == set(DEFAULTS) - analysis_keys
         for legitimacy in ("constant", "random", "random-full"):
-            for control in (True, False):
-                args = {"seed": 0, "steps": 80, "control": control, "legitimacy": legitimacy}
-                want = cli._run_keys(control, legitimacy)
-                assert keys_read(cli._simulate_one, args) == want, args
-            args = {
-                "seed": 0, "steps": 300, "legitimacy": legitimacy,
-                "train": [1, 150], "test": [161, 300],
-            }
-            assert keys_read(cli._export_comparison, args) == cli._run_keys(False, legitimacy), args
-        args = {
-            "mode": "E", "data": None, "column": "active", "split": 0.6,
-            "e_max": 2, "tp": 1, "seed": 0, "steps": 300,
-        }
-        assert keys_read(cli._scan, args) == cli._run_keys(False, "constant")
+            for control in ("on", "off"):
+                argv = ("simulate", "--seed=0", "--steps=80", f"--control={control}",
+                        f"--legitimacy={legitimacy}")
+                want = cli._run_keys(control == "on", legitimacy)
+                assert keys_read(cli._simulate_one, *argv) == want, argv
+            argv = ("export-comparison", "--steps=300", f"--legitimacy={legitimacy}",
+                    "--train=1:150", "--test=161:300")
+            assert keys_read(cli._export_comparison, *argv) == cli._run_keys(False, legitimacy)
+        argv = ("scan", "--mode=E", "--generate", "--e-max=2", "--tp=1", "--seed=0", "--steps=300")
+        assert keys_read(cli._scan, *argv) == cli._run_keys(False, "constant")
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -637,7 +771,7 @@ class TestScan:
             "simulate", "--config", small_config, "--seed", "2", "--steps", "300",
             "--out", str(run_dir),
         )
-        reads = {"E": {"e_max", "tp"}, "Tp": {"e", "tp_max"}, "theta": {"e", "tp"}}
+        reads = {"E": {"e-max", "tp"}, "Tp": {"e", "tp-max"}, "theta": {"e", "tp"}}
         for mode, flags in (("E", ()), ("Tp", ("--e", "2")), ("theta", ("--e", "2"))):
             out = tmp_path / mode
             code = run_cli(
@@ -645,8 +779,8 @@ class TestScan:
                 "--out", str(out),
             )
             assert code == 0
-            args = json.loads((out / "manifest.json").read_text())["args"]
-            assert set(args) == {"mode", "data", "column", "split"} | reads[mode]
+            flags = {arg[2:].split("=")[0] for arg in recorded_argv(out)[1:]}
+            assert flags == {"mode", "data", "column", "split"} | reads[mode]
 
     def test_theta_mode_requires_e(self, tmp_path):
         assert (
@@ -707,6 +841,29 @@ class TestForecast:
         )
         assert code == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_replay", [False, True], ids=["typed", "replay"])
+    def test_numerical_failure_exit_three(
+        self, run_csv, tmp_path, capsys, monkeypatch, via_replay
+    ):
+        argv = [
+            "forecast", "--data", run_csv, "--coords", "jailed:0,quiet:0", "--tp", "1",
+            "--lib", "1:200", "--pred", "301:400", "--theta", "0",
+        ]
+        if via_replay:
+            first = tmp_path / "fc"
+            assert run_cli(*argv, "--out", str(first)) == 0
+            argv = ["replay", str(first / "manifest.json")]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "smap_predict", fail)
+        capsys.readouterr()
+        out = tmp_path / "failed"
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_data_file_exit_two(self, tmp_path):
@@ -797,8 +954,7 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         assert run_cli("analyze", "--data", frame_csv, flag, "--set", setting, "--out", str(out)) == 0
         key, value = setting.split("=")
-        config = json.loads((out / "manifest.json").read_text())["args"]["config"]
-        assert config[key] == float(value)
+        assert float(recorded_settings(recorded_argv(out))[key]) == float(value)
 
     @pytest.mark.parametrize("flag", ["jacobian", "partition", "trapped"])
     def test_set_keys_match_what_each_analysis_reads(self, frame_csv, tmp_path, flag):
@@ -809,10 +965,10 @@ class TestAnalyze:
                 read.add(key)
                 return super().__getitem__(key)
 
-        args = {"data": frame_csv, "jacobian": False, "partition": False, "trapped": False}
-        args[flag] = True
-        args["config"] = Recording(resolve())
-        cli._analyze(args, cli._Outputs(str(tmp_path / "analysis")))
+        ns = cli.build_parser().parse_args(
+            ["analyze", "--data", frame_csv, f"--{flag}", "--out", str(tmp_path / "analysis")]
+        )
+        cli._analyze(ns, Recording(resolve()), cli._Outputs(ns.out))
         assert read == set(cli._ANALYZE_KEYS[flag])
 
     def test_requires_a_flag(self, tmp_path):

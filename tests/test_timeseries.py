@@ -46,12 +46,6 @@ class TestFrame:
         with pytest.raises(KeyError, match="unknown column"):
             f.column("b")
 
-    def test_index_of(self):
-        f = make_frame(a=[1.0, 2.0, 3.0])
-        assert f.index_of(2) == 1
-        with pytest.raises(KeyError):
-            f.index_of(9)
-
 
 class TestDelayEmbedding:
     def test_e1_identity(self):
@@ -130,7 +124,7 @@ class TestGeneralizedEmbedding:
         assert len(emb) == 30 - 4 - 5
         # spot check one row against raw frame values
         t = emb.times[3]
-        i = f.index_of(t)
+        i = t - f.time[0]
         assert emb.points[3, 1] == f.columns["jailed"][i - 2]
         assert emb.points[3, 5] == f.columns["quiet"][i - 4]
         assert emb.targets[3] == f.columns["active"][i + 5]
